@@ -20,9 +20,8 @@ The disk layer runs in WAL journal mode: readers never block the (single)
 writer and a torn write can only ever lose the in-flight transaction,
 never corrupt committed rows — which is what makes one cache directory
 safe to share between a long-lived server and ad-hoc CLI processes.
-Keys are unchanged from the original pickle-per-key layout (the sha256
-hex of :func:`make_key`), and a legacy ``<k[:2]>/<key>.pkl`` directory is
-migrated into the database automatically on first open.
+Keys are the sha256 hex of :func:`make_key`.  A corrupt row or database
+file is dropped and rebuilt: a cache can always be re-simulated.
 """
 
 from __future__ import annotations
@@ -128,17 +127,14 @@ class _SqliteLayer:
     readers, one writer at a time, ``busy_timeout`` arbitration).
 
     Values stay pickled — the schema is a single ``results(key TEXT
-    PRIMARY KEY, value BLOB)`` table, so the layer is a drop-in for the
-    old pickle-per-key directory with identical keys.
+    PRIMARY KEY, value BLOB)`` table.
     """
 
     def __init__(self, cache_dir: Path) -> None:
         self.cache_dir = cache_dir
         self.path = cache_dir / DB_FILENAME
-        self.migrated_entries = 0
         self._lock = threading.RLock()
         self._conn = self._connect()
-        self._migrate_legacy_layout()
 
     def _connect(self) -> sqlite3.Connection:
         try:
@@ -167,37 +163,6 @@ class _SqliteLayer:
             conn.close()
             raise
         return conn
-
-    def _migrate_legacy_layout(self) -> None:
-        """Fold an old pickle-per-key directory into the database.
-
-        Each ``<k[:2]>/<key>.pkl`` blob is inserted under its stem (the
-        keys are unchanged, so no re-hashing), then unlinked; emptied
-        shard directories are removed.  ``INSERT OR IGNORE`` keeps a
-        database row authoritative over a stale file, and an unreadable
-        file is simply dropped — it was a miss in the old layout too.
-        """
-        legacy = sorted(self.cache_dir.rglob("*.pkl"))
-        if not legacy:
-            return
-        with self._lock, self._conn:
-            for path in legacy:
-                try:
-                    blob = path.read_bytes()
-                except OSError:
-                    continue
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO results (key, value) VALUES (?, ?)",
-                    (path.stem, blob),
-                )
-                self.migrated_entries += 1
-                path.unlink(missing_ok=True)
-        for shard in {path.parent for path in legacy}:
-            if shard != self.cache_dir:
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
 
     def get(self, key: str) -> Tuple[bool, Any]:
         with self._lock:
@@ -253,10 +218,6 @@ class ResultCache:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._disk = _SqliteLayer(self.cache_dir)
 
-    @property
-    def migrated_entries(self) -> int:
-        """Legacy pickle files folded into the database on open."""
-        return self._disk.migrated_entries if self._disk is not None else 0
 
     # -- lookup ---------------------------------------------------------------
 

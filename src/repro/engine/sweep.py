@@ -102,8 +102,7 @@ def _timed_execute_spec(spec: SimSpec):
     return result, time.perf_counter() - start
 
 
-def execute_spec_group(specs: Sequence[SimSpec],
-                       stats_out: Optional[dict] = None):
+def execute_spec_group(specs: Sequence[SimSpec]):
     """Run a group of specs sharing one (mode, profile, uops, seed).
 
     Groups of two or more go through the batched SoA kernel — one trace
@@ -111,80 +110,24 @@ def execute_spec_group(specs: Sequence[SimSpec],
     only — unless ``$REPRO_KERNEL=0`` disables it.  Returns
     ``(results, used_kernel)``; results are in spec order and identical
     either way (the kernel is cycle-exact against the oracle).
-    ``stats_out`` collects the kernel's internal path counters
-    (``vectorized_groups`` / ``scalar_groups``) for single-core groups.
     """
     first = specs[0]
     if len(specs) > 1 and kernel_enabled():
         configs = [spec.config for spec in specs]
         if first.mode == "single":
             trace = _trace_for(first.profile, first.uops, first.seed)
-            return run_trace_batch(configs, trace,
-                                   stats_out=stats_out), True
+            return run_trace_batch(configs, trace), True
         return run_parallel_batch(configs, first.profile, first.uops,
                                   seed=first.seed), True
     return [execute_spec(spec) for spec in specs], False
 
 
-def _kernel_path(stats: Optional[dict]) -> Optional[str]:
-    """Summarize ``run_trace_batch`` path counters for telemetry."""
-    if not stats:
-        return None
-    vectorized = stats.get("vectorized_groups", 0)
-    scalar = stats.get("scalar_groups", 0)
-    if vectorized and scalar:
-        return "mixed"
-    if vectorized:
-        return "vectorized"
-    if scalar:
-        return "scalar"
-    return None
-
-
-def _timed_execute_unit(unit):
-    """Worker-side wrapper for one work unit.
-
-    ``unit`` is ``("copy", specs)`` — derive everything in this process
-    (the original path) — or ``("shm", handle, specs)`` — attach the
-    published replay block and run only the timing recurrences.  A
-    failed attach (the block vanished, no ``/dev/shm``, a forked
-    platform quirk) silently degrades to the copy path; results are
-    identical either way.  Returns
-    ``(results, seconds, used_kernel, path, shm_used)``.
-    """
+def _timed_execute_unit(specs: Sequence[SimSpec]):
+    """Worker-side wrapper for one work unit (a same-trace spec group):
+    ``(results, seconds, used_kernel)``."""
     start = time.perf_counter()
-    stats: dict = {}
-    shm_used = False
-    if unit[0] == "shm":
-        from repro.uarch import shm as kernel_shm
-
-        handle, specs = unit[1], unit[2]
-        try:
-            results = kernel_shm.run_handle_batch(
-                handle, [spec.config for spec in specs], stats_out=stats
-            )
-            used_kernel = True
-            shm_used = True
-        except Exception:
-            stats = {}
-            results, used_kernel = execute_spec_group(specs, stats_out=stats)
-    else:
-        specs = unit[1]
-        results, used_kernel = execute_spec_group(specs, stats_out=stats)
-    return (results, time.perf_counter() - start, used_kernel,
-            _kernel_path(stats), shm_used)
-
-
-def _copy_unit(unit) -> tuple:
-    """The self-contained (copy-path) form of a work unit.
-
-    Used for crash retries: a ``("shm", handle, specs)`` unit degrades
-    to ``("copy", specs)`` — the crash may have been the shared-memory
-    attach itself, and the copy path derives everything locally.
-    """
-    if unit[0] == "shm":
-        return ("copy", unit[2])
-    return unit
+    results, used_kernel = execute_spec_group(specs)
+    return results, time.perf_counter() - start, used_kernel
 
 
 def suite_specs(mode: str, uops: int, seed: int,
@@ -240,8 +183,8 @@ class PendingSpecs:
                  specs: Sequence[SimSpec], keys: List[str],
                  results: List[object], missing: List[int],
                  use_cache: bool, batch_start: float, workers: int,
-                 unit_indices: List[List[int]], units: List[tuple],
-                 futures: List[object], lease, published: List[object],
+                 unit_indices: List[List[int]], units: List[list],
+                 futures: List[object], lease,
                  timed: Optional[List[tuple]] = None) -> None:
         self._engine = engine
         self._specs = specs
@@ -255,7 +198,6 @@ class PendingSpecs:
         self._units = units
         self._futures = futures
         self._lease = lease
-        self._published = published
         self._timed = timed
         self._cleaned = not futures
         self._final: Optional[List[object]] = None
@@ -269,8 +211,8 @@ class PendingSpecs:
 
         Idempotent; the first call performs the cache stores and
         telemetry recording.  A worker crash (:class:`BrokenProcessPool`)
-        respawns the pool and retries each lost unit once on the copy
-        path — see :mod:`repro.engine.pool`.
+        respawns the pool and retries each lost unit once — see
+        :mod:`repro.engine.pool`.
         """
         if self._final is not None:
             return self._final
@@ -278,7 +220,7 @@ class PendingSpecs:
             try:
                 self._timed = [
                     self._lease.resolve(future, _timed_execute_unit,
-                                        (_copy_unit(unit),))
+                                        (unit,))
                     for unit, future in zip(self._units, self._futures)
                 ]
             finally:
@@ -294,12 +236,9 @@ class PendingSpecs:
     def abandon(self) -> None:
         """Best-effort cleanup without waiting for results.
 
-        Cancels whatever has not started, releases the pool lease and
-        unlinks shared-memory publications.  Units already running in
-        workers finish on their own and are discarded; an unlinked
-        block stays mapped for workers that already attached, and a
-        worker whose attach fails degrades to the copy path — either
-        way nothing crashes and nothing leaks.
+        Cancels whatever has not started and releases the pool lease.
+        Units already running in workers finish on their own and are
+        discarded.
         """
         for future in self._futures:
             future.cancel()
@@ -311,8 +250,6 @@ class PendingSpecs:
         self._cleaned = True
         if self._lease is not None:
             self._lease.close()
-        for publication in self._published:
-            publication.unlink()
 
 
 # -- the engine ---------------------------------------------------------------
@@ -389,42 +326,27 @@ class ExperimentEngine:
         if missing:
             # Specs sharing a trace form one kernel batch: a group of N
             # configs costs one decode + one replay per geometry + N
-            # timing passes instead of N full scalar simulations.  With
-            # spare workers, wide single-core groups additionally shard
-            # across the pool behind one shared-memory replay block —
-            # the parent decodes/replays once, each shard attaches.
-            groups = _group_missing(specs, missing)
-            group_specs = [[specs[i] for i in group] for group in groups]
-            published: List[object] = []
-            lease = None
-            try:
-                units, unit_indices = self._plan_units(
-                    groups, group_specs, published
-                )
-                if self.jobs > 1 and len(units) > 1:
-                    workers = min(self.jobs, len(units))
-                    lease = worker_pool.PoolLease(workers)
+            # timing passes instead of N full scalar simulations.  Each
+            # group is one work unit.
+            unit_indices = _group_missing(specs, missing)
+            units = [[specs[i] for i in group] for group in unit_indices]
+            if self.jobs > 1 and len(units) > 1:
+                workers = min(self.jobs, len(units))
+                lease = worker_pool.PoolLease(workers)
+                try:
                     futures = [
                         lease.submit(_timed_execute_unit, unit)
                         for unit in units
                     ]
-                    return PendingSpecs(
-                        self, specs, keys, results, missing, use_cache,
-                        batch_start, workers, unit_indices, units,
-                        futures, lease, published,
-                    )
-                timed = [_timed_execute_unit(unit) for unit in units]
-            except BaseException:
-                if lease is not None:
+                except BaseException:
                     lease.close()
-                for publication in published:
-                    publication.unlink()
-                raise
-            else:
-                # Publisher owns every block: the eager path is done
-                # with them; the pool path unlinks at resolve time.
-                for publication in published:
-                    publication.unlink()
+                    raise
+                return PendingSpecs(
+                    self, specs, keys, results, missing, use_cache,
+                    batch_start, workers, unit_indices, units,
+                    futures, lease,
+                )
+            timed = [_timed_execute_unit(unit) for unit in units]
         final = self._finish_batch(
             specs=specs, keys=keys, results=results, missing=missing,
             use_cache=use_cache, batch_start=batch_start, workers=workers,
@@ -432,7 +354,7 @@ class ExperimentEngine:
         )
         pending = PendingSpecs(
             self, specs, keys, results, missing, use_cache, batch_start,
-            workers, unit_indices, [], [], None, [], timed=timed,
+            workers, unit_indices, [], [], None, timed=timed,
         )
         pending._final = final
         return pending
@@ -445,7 +367,7 @@ class ExperimentEngine:
         """Assemble unit outcomes into spec order; store + record."""
         durations: Dict[int, float] = {}
         for indices, outcome in zip(unit_indices, timed):
-            fresh, seconds, used_kernel, path, shm_used = outcome
+            fresh, seconds, used_kernel = outcome
             first = specs[indices[0]]
             share = seconds / len(indices)
             for index, value in zip(indices, fresh):
@@ -460,8 +382,6 @@ class ExperimentEngine:
                 width=len(indices),
                 seconds=seconds,
                 used_kernel=used_kernel,
-                path=path,
-                shm=shm_used,
             )
         telemetry = self.telemetry
         telemetry.record_batch(
@@ -485,62 +405,6 @@ class ExperimentEngine:
             )
             telemetry.observe_result(results[index])
         return results
-
-    def _plan_units(self, groups: List[List[int]],
-                    group_specs: List[List[SimSpec]],
-                    published: List[object]):
-        """Turn trace groups into pool work units.
-
-        Default: one ``("copy", specs)`` unit per group — the worker
-        derives trace/decode/replay itself, exactly the pre-shm path.
-        When the pool would otherwise idle (fewer groups than workers),
-        wide single-core groups are sharded: the parent publishes the
-        group's replay state to shared memory once and emits
-        ``("shm", handle, shard_specs)`` units whose workers attach
-        instead of re-deriving.  Publications are appended to
-        ``published``; the caller unlinks them in its ``finally``.
-        Any publish failure quietly keeps that group on the copy path.
-        """
-        units: List[tuple] = []
-        unit_indices: List[List[int]] = []
-        sharding = self.jobs > 1 and len(groups) < self.jobs \
-            and kernel_enabled()
-        if sharding:
-            from repro.uarch import shm as kernel_shm
-            sharding = kernel_shm.shm_enabled()
-        for indices, batch in zip(groups, group_specs):
-            first = batch[0]
-            shards = 1
-            if sharding and first.mode == "single":
-                # Fair share of the pool, but never shards thinner than
-                # two configs (one config per unit would just re-pay
-                # per-unit overhead without batching anything).
-                shards = min(len(batch) // 2,
-                             max(1, self.jobs // len(groups)))
-            if shards > 1:
-                try:
-                    from repro.uarch import shm as kernel_shm
-                    trace = _trace_for(first.profile, first.uops, first.seed)
-                    publication = kernel_shm.publish_group(
-                        trace, [spec.config for spec in batch]
-                    )
-                except Exception:
-                    shards = 1
-                else:
-                    published.append(publication)
-                    base, extra = divmod(len(batch), shards)
-                    cursor = 0
-                    for shard in range(shards):
-                        size = base + (1 if shard < extra else 0)
-                        chunk = slice(cursor, cursor + size)
-                        units.append(("shm", publication.handle,
-                                      batch[chunk]))
-                        unit_indices.append(indices[chunk])
-                        cursor += size
-            if shards == 1:
-                units.append(("copy", batch))
-                unit_indices.append(indices)
-        return units, unit_indices
 
     # -- single results -------------------------------------------------------
 

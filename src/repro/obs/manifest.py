@@ -59,7 +59,10 @@ from repro.obs.timer import TimerSpan, recorded_spans
 #: request/rejection counts, queue depth, wait/service seconds, cache
 #: hit ratio) — present both on per-request response manifests and on
 #: the server process's own shutdown manifest.
-MANIFEST_SCHEMA_VERSION = "repro-manifest-v8"
+#: v9 dropped the v4 kernel-path and shared-memory telemetry (per-batch
+#: ``path`` / ``shm``, the vectorized/scalar/mixed/shm group counts):
+#: every kernel group now runs through the one generated timing loop.
+MANIFEST_SCHEMA_VERSION = "repro-manifest-v9"
 
 
 class ManifestError(ValueError):
@@ -305,18 +308,12 @@ _KERNEL_SUMMARY_FIELDS = {
     "singleton_specs": int,
     "max_width": int,
     "seconds": (int, float),
-    "vectorized_groups": int,
-    "scalar_groups": int,
-    "mixed_groups": int,
-    "shm_groups": int,
 }
 _KERNEL_BATCH_FIELDS = {
     "mode": str,
     "width": int,
     "seconds": (int, float),
     "used_kernel": bool,
-    "path": (str, type(None)),
-    "shm": bool,
 }
 _VALIDATION_FIELDS = {
     "schema": str,

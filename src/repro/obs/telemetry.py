@@ -89,20 +89,12 @@ class KernelBatchRecord:
 
     ``used_kernel`` is False when the group fell back to the scalar
     oracle — singleton groups (nothing to batch) or ``$REPRO_KERNEL=0``.
-    ``path`` records which internal kernel path timed the group
-    ("vectorized", "scalar", or "mixed" when a multi-geometry group
-    split across both); ``None`` when the kernel did not run or the
-    executor predates path reporting.  ``shm`` is True when the group's
-    replay state came from an attached shared-memory block rather than
-    being derived in the worker.
     """
 
     mode: str
     width: int
     seconds: float
     used_kernel: bool
-    path: Optional[str] = None
-    shm: bool = False
 
     def as_record(self) -> Dict[str, object]:
         return {
@@ -110,8 +102,6 @@ class KernelBatchRecord:
             "width": self.width,
             "seconds": round(self.seconds, 6),
             "used_kernel": self.used_kernel,
-            "path": self.path,
-            "shm": self.shm,
         }
 
 
@@ -146,10 +136,9 @@ class EngineTelemetry:
         self.batches.append(BatchRecord(specs, hits, misses, seconds, workers))
 
     def record_kernel_batch(self, mode: str, width: int, seconds: float,
-                            used_kernel: bool, path: Optional[str] = None,
-                            shm: bool = False) -> None:
+                            used_kernel: bool) -> None:
         self.kernel_batches.append(
-            KernelBatchRecord(mode, width, seconds, used_kernel, path, shm)
+            KernelBatchRecord(mode, width, seconds, used_kernel)
         )
 
     def kernel_summary(self) -> Dict[str, object]:
@@ -160,7 +149,6 @@ class EngineTelemetry:
         batch (width >= 2) that ran scalar anyway — singletons have
         nothing to batch and are reported separately."""
         batched = fallback = singleton = 0
-        vectorized = scalar = mixed = shm_groups = 0
         max_width = 0
         seconds = 0.0
         for record in self.kernel_batches:
@@ -172,14 +160,6 @@ class EngineTelemetry:
                 fallback += record.width
             else:
                 singleton += 1
-            if record.path == "vectorized":
-                vectorized += 1
-            elif record.path == "scalar":
-                scalar += 1
-            elif record.path == "mixed":
-                mixed += 1
-            if record.shm:
-                shm_groups += 1
         return {
             "groups": len(self.kernel_batches),
             "batched_specs": batched,
@@ -187,10 +167,6 @@ class EngineTelemetry:
             "singleton_specs": singleton,
             "max_width": max_width,
             "seconds": round(seconds, 6),
-            "vectorized_groups": vectorized,
-            "scalar_groups": scalar,
-            "mixed_groups": mixed,
-            "shm_groups": shm_groups,
         }
 
     def record_spec(self, key: str, mode: str, config: str, profile: str,

@@ -4,7 +4,7 @@ A long-lived asyncio server (stdlib only) that keeps one warm
 :class:`~repro.engine.sweep.ExperimentEngine` — persistent worker pool,
 in-memory + SQLite-WAL result cache — behind ``POST /sweep``,
 ``POST /points``, ``POST /validate``, ``GET /healthz`` and
-``GET /stats``, answering with per-request run manifests (schema v8).
+``GET /stats``, answering with per-request run manifests (schema v9).
 See DESIGN.md §15 for the architecture and
 :mod:`repro.serve.protocol` for the wire format.
 """

@@ -394,9 +394,8 @@ def prepare_geometry_replay(
 
     This is the configuration-independent half of a multicore batch —
     everything that depends only on the trace set and the geometry.
-    Split out of :func:`run_parallel_batch` so alternative executors
-    (shared-memory workers, future remote pools) can reuse the replay
-    without re-deriving it per configuration.
+    Split out of :func:`run_parallel_batch` so every config of the
+    slice reuses the replay without re-deriving it.
     """
     noc = RingNoc(cores, shared_stops=shared_l2)
     penalty = noc.average_latency
@@ -430,22 +429,6 @@ def evaluate_tile_configs(
     ]
     return _tile_result(
         tiles, profile, total_uops, per_core, transfers, penalty, name,
-    )
-
-
-def evaluate_parallel_config(
-    config: CoreConfig,
-    profile: AppProfile,
-    total_uops: int,
-    traces: List,
-    images: List,
-    transfers: int,
-    penalty: int,
-) -> MulticoreResult:
-    """Legacy single-config spelling of :func:`evaluate_tile_configs`."""
-    return evaluate_tile_configs(
-        [config] * len(traces), profile, total_uops, traces, images,
-        transfers, penalty, name=config.name,
     )
 
 
@@ -500,8 +483,8 @@ def run_parallel_batch(
     the same (core count, L2 geometry) additionally share the
     coherence-sequenced cache replay
     (:func:`prepare_geometry_replay`); only the per-core timing
-    recurrences (:func:`evaluate_parallel_config`) run per config,
-    through the :mod:`repro.uarch.kernel` scalar path.
+    recurrences (:func:`evaluate_tile_configs`) run per config, each
+    core a width-1 batch of the :mod:`repro.uarch.kernel` generated loop.
     """
     if not profile.is_parallel:
         raise ValueError(f"{profile.name} is not a parallel profile")
@@ -524,8 +507,9 @@ def run_parallel_batch(
                 donor=configs[geo_indices[0]],
             )
             for index in geo_indices:
-                results[index] = evaluate_parallel_config(
-                    configs[index], profile, total_uops, traces, images,
-                    transfers, penalty,
+                config = configs[index]
+                results[index] = evaluate_tile_configs(
+                    [config] * len(traces), profile, total_uops, traces, images,
+                    transfers, penalty, name=config.name,
                 )
     return results

@@ -136,6 +136,7 @@ class TestManifest:
         "corrupt",
         [
             lambda m: m.update(schema="repro-manifest-v999"),
+            lambda m: m.update(schema="repro-manifest-v8"),
             lambda m: m.pop("cache"),
             lambda m: m["cache"].pop("disk_put_failures"),
             lambda m: m["counters"].update(uops="lots"),

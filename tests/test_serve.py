@@ -326,7 +326,7 @@ class TestGracefulShutdown:
             section = server.serve_section()
         assert section["requests"] == 1 and section["rejected"] == 0
         assert section["service_seconds"] > 0
-        # Round-trips through the manifest layer as schema v8.
+        # Round-trips through the manifest layer as schema v9.
         from repro.obs import build_manifest, clear_serve, record_serve
 
         record_serve(section)
