@@ -79,7 +79,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.obs import (  # noqa: E402  (path set up above)
     build_manifest,
-    drain_spans,
     metrics_path,
     timer,
     write_manifest,
@@ -843,7 +842,6 @@ def main() -> None:
         manifest = build_manifest(
             command=f"scripts/bench.py {mode}",
             engine=cold_engine,
-            timers=drain_spans(),
         )
         write_manifest(manifest, destination)
         print(f"wrote manifest {destination}")

@@ -281,7 +281,7 @@ def cmd_explore(args: argparse.Namespace) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> None:
-    from repro.obs import record_serve
+    from repro.obs import record_section
     from repro.serve import ReproServer
 
     server = ReproServer(
@@ -301,7 +301,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
     except KeyboardInterrupt:
         print("draining...", flush=True)
         server.stop(drain=True)
-    record_serve(server.serve_section())
+    record_section("serve", server.serve_section())
     snapshot = server.stats.snapshot()
     print(f"served {snapshot['requests']} requests "
           f"({snapshot['errors']} errors, {snapshot['rejected']} rejected)")
@@ -316,7 +316,7 @@ def cmd_manycore(args: argparse.Namespace) -> None:
         get_scenario,
         scenario_names,
     )
-    from repro.obs import record_manycore
+    from repro.obs import record_section
 
     token = args.scenario
     if token.endswith(".json"):
@@ -346,7 +346,7 @@ def cmd_manycore(args: argparse.Namespace) -> None:
     seconds = time.perf_counter() - start
     report.print()
     noc = report.resolved.noc
-    record_manycore({
+    record_section("manycore", {
         "scenario": grid.name,
         "rows": grid.rows,
         "cols": grid.cols,

@@ -30,6 +30,7 @@ from repro.design.resolve import (
 from repro.engine import pool as worker_pool
 from repro.engine.cache import ResultCache, make_key
 from repro.lru import LruMemo
+from repro.obs.recorder import current_recorder
 from repro.obs.telemetry import EngineTelemetry
 from repro.uarch.kernel import kernel_enabled, run_trace_batch
 from repro.uarch.multicore import MulticoreResult, run_parallel, \
@@ -264,7 +265,15 @@ class ExperimentEngine:
             raise ValueError("pass either cache or cache_dir, not both")
         self.jobs = max(1, int(jobs))
         self.cache = cache if cache is not None else ResultCache(cache_dir)
-        self.telemetry = EngineTelemetry()
+        self._telemetry = EngineTelemetry()
+
+    @property
+    def telemetry(self) -> EngineTelemetry:
+        """Where this engine records: the open
+        :func:`~repro.obs.recorder.recording` scope's telemetry, else the
+        engine's own."""
+        scoped = current_recorder().telemetry
+        return self._telemetry if scoped is None else scoped
 
     # -- batch execution ------------------------------------------------------
 
@@ -365,6 +374,7 @@ class ExperimentEngine:
                       unit_indices: List[List[int]],
                       timed: List[tuple]) -> List[object]:
         """Assemble unit outcomes into spec order; store + record."""
+        telemetry = self.telemetry
         durations: Dict[int, float] = {}
         for indices, outcome in zip(unit_indices, timed):
             fresh, seconds, used_kernel = outcome
@@ -377,13 +387,12 @@ class ExperimentEngine:
                 self.cache.put_many(
                     (keys[index], results[index]) for index in indices
                 )
-            self.telemetry.record_kernel_batch(
+            telemetry.record_kernel_batch(
                 mode=first.mode,
                 width=len(indices),
                 seconds=seconds,
                 used_kernel=used_kernel,
             )
-        telemetry = self.telemetry
         telemetry.record_batch(
             specs=len(specs),
             hits=len(specs) - len(missing),

@@ -23,7 +23,7 @@ evaluation the same way.
 At the end of a run — *including* a crashed one — the runner extracts
 the Pareto frontier of the committed records
 (:mod:`repro.explore.frontier`) and records a progress summary for the
-run manifest (:func:`repro.obs.record_explore`, manifest schema v7); a
+run manifest (:func:`repro.obs.record_section`, manifest schema v7); a
 failed run's summary carries an ``error`` field instead of silently
 vanishing.
 """
@@ -128,7 +128,7 @@ def explore(space: SpaceSpec,
     with a summary dict.  Evaluation parameters mirror
     :func:`repro.design.sweep.evaluate_points`.
 
-    The manifest summary (:func:`repro.obs.record_explore`) is recorded
+    The manifest summary (:func:`repro.obs.record_section`) is recorded
     even when the run raises — with an ``error`` field and the counts
     up to the failure — and the exception then propagates.
     """
@@ -239,9 +239,9 @@ def explore(space: SpaceSpec,
             error=error,
         )
 
-        from repro.obs import record_explore
+        from repro.obs import record_section
 
-        record_explore(report.as_dict())
+        record_section("explore", report.as_dict())
     return report
 
 

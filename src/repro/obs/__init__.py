@@ -1,13 +1,18 @@
-"""Observability layer: run manifests, engine telemetry, named timers.
+"""Observability layer: run manifests, engine telemetry, the run recorder.
 
 :mod:`repro.obs` is the reporting surface the rest of the stack threads
 through:
 
-* :func:`~repro.obs.timer.timer` — the one wall-clock primitive
-  (``scripts/bench.py`` and the manifests share its span format);
+* :class:`~repro.obs.recorder.Recorder` — the named manifest sections
+  (:func:`~repro.obs.recorder.record_section`), the
+  :func:`~repro.obs.recorder.timer` spans and, inside a
+  :func:`~repro.obs.recorder.recording` scope, the engine telemetry;
+  the process root recorder is the default, ``repro serve`` opens one
+  scope per request;
 * :class:`~repro.obs.telemetry.EngineTelemetry` — per-batch/per-spec
   execution records plus aggregated pipeline stall attribution, owned by
-  every :class:`~repro.engine.sweep.ExperimentEngine`;
+  every :class:`~repro.engine.sweep.ExperimentEngine` (or by the open
+  scope);
 * :func:`~repro.obs.manifest.build_manifest` /
   :func:`~repro.obs.manifest.validate_manifest` — schema-versioned JSON
   run records (``--metrics-out`` / ``$REPRO_METRICS`` on every entry
@@ -19,21 +24,17 @@ from repro.obs.manifest import (
     ManifestError,
     build_manifest,
     check_manifest,
-    clear_explore,
-    clear_manycore,
-    clear_serve,
-    clear_validation,
     metrics_path,
-    record_explore,
-    record_manycore,
-    record_serve,
-    record_validation,
-    recorded_explore,
-    recorded_manycore,
-    recorded_serve,
-    recorded_validation,
     validate_manifest,
     write_manifest,
+)
+from repro.obs.recorder import (
+    Recorder,
+    TimerSpan,
+    current_recorder,
+    record_section,
+    recording,
+    timer,
 )
 from repro.obs.telemetry import (
     BatchRecord,
@@ -43,7 +44,6 @@ from repro.obs.telemetry import (
     SpecTiming,
     warn_model_disagreement,
 )
-from repro.obs.timer import TimerSpan, drain_spans, recorded_spans, timer
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -52,26 +52,16 @@ __all__ = [
     "KernelBatchRecord",
     "ManifestError",
     "ModelDisagreementWarning",
+    "Recorder",
     "SpecTiming",
     "warn_model_disagreement",
     "TimerSpan",
     "build_manifest",
     "check_manifest",
-    "clear_explore",
-    "clear_manycore",
-    "clear_serve",
-    "clear_validation",
-    "drain_spans",
+    "current_recorder",
     "metrics_path",
-    "record_explore",
-    "record_manycore",
-    "record_serve",
-    "record_validation",
-    "recorded_explore",
-    "recorded_manycore",
-    "recorded_serve",
-    "recorded_spans",
-    "recorded_validation",
+    "record_section",
+    "recording",
     "timer",
     "validate_manifest",
     "write_manifest",

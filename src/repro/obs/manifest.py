@@ -2,7 +2,8 @@
 
 Every entry point (``python -m repro``, the experiment runner,
 ``scripts/bench.py``) can emit one manifest per invocation via
-``--metrics-out PATH`` or ``$REPRO_METRICS``.  A manifest captures:
+``--metrics-out PATH`` or ``$REPRO_METRICS``, and every ``repro serve``
+response carries one.  A manifest captures:
 
 * identity — schema version, timestamp, the command line, the source
   fingerprint the cache keys use, the platform;
@@ -13,16 +14,17 @@ Every entry point (``python -m repro``, the experiment runner,
 * aggregated pipeline telemetry — per-stage stall cycles, activity
   counters, memory-level histograms — from every result the engine
   returned;
-* the named :mod:`repro.obs.timer` spans completed during the run;
-* the golden-validation drift report (``repro validate``), when one was
-  recorded this process via :func:`record_validation` — the optional
-  ``validation`` section added in schema v3;
-* the design-space exploration summary (``repro explore``), when one was
-  recorded this process via :func:`record_explore` — the optional
-  ``explore`` section added in schema v5;
-* the server telemetry (``repro serve``), when recorded this process via
-  :func:`record_serve` — the optional ``serve`` section added in
-  schema v8.
+* the named :func:`~repro.obs.recorder.timer` spans;
+* the optional sections set with
+  :func:`~repro.obs.recorder.record_section`: ``validation`` (the golden
+  drift report, schema v3), ``explore`` (the design-space exploration
+  summary, v5), ``manycore`` (the tile-grid scenario summary, v6) and
+  ``serve`` (server telemetry, v8).
+
+:func:`build_manifest` reads the execution records, spans and sections
+from the current :class:`~repro.obs.recorder.Recorder`: the process root
+recorder by default, or the open :func:`~repro.obs.recorder.recording`
+scope (``repro serve`` opens one per request).
 
 :func:`validate_manifest` is a dependency-free structural validator
 (``python -m repro.obs <manifest.json>`` runs it from the command line;
@@ -36,7 +38,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.obs.timer import TimerSpan, recorded_spans
+from repro.obs.recorder import TimerSpan, current_recorder
 
 #: Current manifest schema identifier; bump when the shape changes.
 #: v2 added the ``kernel`` section (batched SoA-kernel usage records).
@@ -69,106 +71,6 @@ class ManifestError(ValueError):
     """Raised by :func:`check_manifest` for a structurally invalid manifest."""
 
 
-# -- validation-report capture ------------------------------------------------
-
-#: The drift report recorded by the last ``repro validate`` run in this
-#: process, if any (mirrors the timer-span pattern: repro.golden records
-#: here so the manifest layer never imports repro.golden).
-_VALIDATION_REPORT: Optional[Dict[str, Any]] = None
-
-
-def record_validation(report: Dict[str, Any]) -> None:
-    """Record a golden-validation drift report for the next manifest."""
-    global _VALIDATION_REPORT
-    _VALIDATION_REPORT = report
-
-
-def recorded_validation() -> Optional[Dict[str, Any]]:
-    """The drift report recorded this process (``None`` when no run)."""
-    return _VALIDATION_REPORT
-
-
-def clear_validation() -> None:
-    """Forget the recorded drift report (test isolation)."""
-    global _VALIDATION_REPORT
-    _VALIDATION_REPORT = None
-
-
-# -- explore-summary capture --------------------------------------------------
-
-#: The exploration summary recorded by the last ``repro explore`` run in
-#: this process, if any (same capture pattern as the validation report:
-#: repro.explore records here so this layer never imports repro.explore).
-_EXPLORE_SUMMARY: Optional[Dict[str, Any]] = None
-
-
-def record_explore(summary: Dict[str, Any]) -> None:
-    """Record a design-space exploration summary for the next manifest."""
-    global _EXPLORE_SUMMARY
-    _EXPLORE_SUMMARY = summary
-
-
-def recorded_explore() -> Optional[Dict[str, Any]]:
-    """The exploration summary recorded this process (``None`` if none)."""
-    return _EXPLORE_SUMMARY
-
-
-def clear_explore() -> None:
-    """Forget the recorded exploration summary (test isolation)."""
-    global _EXPLORE_SUMMARY
-    _EXPLORE_SUMMARY = None
-
-
-# -- manycore-summary capture -------------------------------------------------
-
-#: The tile-grid scenario summary recorded by the last ``repro manycore``
-#: run in this process, if any (same capture pattern as the explore
-#: summary).
-_MANYCORE_SUMMARY: Optional[Dict[str, Any]] = None
-
-
-def record_manycore(summary: Dict[str, Any]) -> None:
-    """Record a manycore scenario summary for the next manifest."""
-    global _MANYCORE_SUMMARY
-    _MANYCORE_SUMMARY = summary
-
-
-def recorded_manycore() -> Optional[Dict[str, Any]]:
-    """The manycore summary recorded this process (``None`` if none)."""
-    return _MANYCORE_SUMMARY
-
-
-def clear_manycore() -> None:
-    """Forget the recorded manycore summary (test isolation)."""
-    global _MANYCORE_SUMMARY
-    _MANYCORE_SUMMARY = None
-
-
-# -- serve-summary capture ----------------------------------------------------
-
-#: The server telemetry recorded by the last ``repro serve`` activity in
-#: this process, if any (same capture pattern as the explore summary:
-#: repro.serve records here so this layer never imports repro.serve).
-_SERVE_SUMMARY: Optional[Dict[str, Any]] = None
-
-
-def record_serve(summary: Dict[str, Any]) -> None:
-    """Record a serve telemetry summary for the next manifest."""
-    global _SERVE_SUMMARY
-    _SERVE_SUMMARY = summary
-
-
-def recorded_serve() -> Optional[Dict[str, Any]]:
-    """The serve summary recorded this process (``None`` if none)."""
-    return _SERVE_SUMMARY
-
-
-def clear_serve() -> None:
-    """Forget the recorded serve summary (test isolation)."""
-    global _SERVE_SUMMARY
-    _SERVE_SUMMARY = None
-
-
 # -- construction -------------------------------------------------------------
 
 
@@ -177,8 +79,8 @@ def build_manifest(command: str, engine: Optional[object] = None,
                    created: Optional[str] = None) -> Dict[str, Any]:
     """Assemble a manifest for ``engine`` (default: the process engine).
 
-    ``timers`` defaults to every span the process has recorded so far;
-    ``created`` (an ISO timestamp) is stamped automatically when omitted.
+    ``timers`` defaults to the current recorder's spans; ``created`` (an
+    ISO timestamp) is stamped automatically when omitted.
     """
     # Imported lazily: repro.engine imports repro.obs.telemetry, so a
     # module-level import here would be circular.
@@ -194,6 +96,7 @@ def build_manifest(command: str, engine: Optional[object] = None,
         from datetime import datetime, timezone
 
         created = datetime.now(timezone.utc).isoformat()
+    recorder = current_recorder()
     telemetry = engine.telemetry
     stats = engine.cache.stats
     cache_dir = engine.cache.cache_dir
@@ -231,21 +134,10 @@ def build_manifest(command: str, engine: Optional[object] = None,
         "mem_level_counts": dict(telemetry.mem_level_counts),
         "timers": [
             span.as_record()
-            for span in (timers if timers is not None else recorded_spans())
+            for span in (timers if timers is not None else recorder.spans)
         ],
     }
-    validation = recorded_validation()
-    if validation is not None:
-        manifest["validation"] = validation
-    explore = recorded_explore()
-    if explore is not None:
-        manifest["explore"] = explore
-    manycore = recorded_manycore()
-    if manycore is not None:
-        manifest["manycore"] = manycore
-    serve = recorded_serve()
-    if serve is not None:
-        manifest["serve"] = serve
+    manifest.update(recorder.sections)
     return manifest
 
 
@@ -412,6 +304,49 @@ def _check_counter_map(mapping: Any, where: str,
             problems.append(f"{where}[{key!r}]: negative count {value}")
 
 
+def _check_validation(section: Dict[str, Any],
+                      problems: List[str]) -> None:
+    status = section.get("status")
+    if status not in ("pass", "fail", "updated"):
+        problems.append(
+            f"validation.status: expected pass/fail/updated, got {status!r}"
+        )
+    entries = section.get("artifacts")
+    if not isinstance(entries, list):
+        return
+    for index, entry in enumerate(entries):
+        where = f"validation.artifacts[{index}]"
+        _check_record(entry, _VALIDATION_ARTIFACT_FIELDS, where, problems)
+        if isinstance(entry, dict) and isinstance(entry.get("drifts"), list):
+            for j, drift in enumerate(entry["drifts"]):
+                _check_record(drift, _DRIFT_FIELDS, f"{where}.drifts[{j}]",
+                              problems)
+
+
+def _check_explore(section: Dict[str, Any], problems: List[str]) -> None:
+    # ``error`` is optional: present (as a string) only when the run
+    # died mid-space and recorded a partial summary.
+    if "error" in section:
+        _typecheck(section["error"], str, "explore.error", problems)
+
+
+def _check_serve(section: Dict[str, Any], problems: List[str]) -> None:
+    ratio = section.get("cache_hit_ratio")
+    if isinstance(ratio, (int, float)) and not isinstance(ratio, bool) \
+            and not 0.0 <= ratio <= 1.0:
+        problems.append(f"serve.cache_hit_ratio: {ratio} outside [0, 1]")
+
+
+#: Optional section -> (required fields, extra check).  Every ``int``
+#: field of a section must also be non-negative.
+_SECTIONS = {
+    "validation": (_VALIDATION_FIELDS, _check_validation),
+    "explore": (_EXPLORE_FIELDS, _check_explore),
+    "manycore": (_MANYCORE_FIELDS, None),
+    "serve": (_SERVE_FIELDS, _check_serve),
+}
+
+
 def validate_manifest(manifest: Any) -> List[str]:
     """Structurally validate a manifest; returns problems (empty = valid)."""
     problems: List[str] = []
@@ -467,68 +402,20 @@ def validate_manifest(manifest: Any) -> List[str]:
     _check_counter_map(manifest.get("stalls"), "stalls", problems)
     _check_counter_map(manifest.get("mem_level_counts"), "mem_level_counts",
                        problems)
-    if "validation" in manifest:
-        validation = manifest["validation"]
-        _check_record(validation, _VALIDATION_FIELDS, "validation", problems)
-        if isinstance(validation, dict):
-            status = validation.get("status")
-            if status not in ("pass", "fail", "updated"):
-                problems.append(
-                    f"validation.status: expected pass/fail/updated, "
-                    f"got {status!r}"
-                )
-            entries = validation.get("artifacts")
-            if isinstance(entries, list):
-                for index, entry in enumerate(entries):
-                    where = f"validation.artifacts[{index}]"
-                    _check_record(entry, _VALIDATION_ARTIFACT_FIELDS, where,
-                                  problems)
-                    if isinstance(entry, dict) \
-                            and isinstance(entry.get("drifts"), list):
-                        for j, drift in enumerate(entry["drifts"]):
-                            _check_record(drift, _DRIFT_FIELDS,
-                                          f"{where}.drifts[{j}]", problems)
-    if "explore" in manifest:
-        explore = manifest["explore"]
-        _check_record(explore, _EXPLORE_FIELDS, "explore", problems)
-        if isinstance(explore, dict):
-            for name in ("total_points", "unique_points", "evaluated",
-                         "skipped", "duplicates", "chunks", "frontier_size",
-                         "in_flight", "pool_reuses"):
-                value = explore.get(name)
-                if isinstance(value, int) and not isinstance(value, bool) \
-                        and value < 0:
-                    problems.append(f"explore.{name}: negative count {value}")
-            # ``error`` is optional: present (as a string) only when the
-            # run died mid-space and recorded a partial summary.
-            if "error" in explore:
-                _typecheck(explore["error"], str, "explore.error", problems)
-    if "manycore" in manifest:
-        manycore = manifest["manycore"]
-        _check_record(manycore, _MANYCORE_FIELDS, "manycore", problems)
-        if isinstance(manycore, dict):
-            for name in ("rows", "cols", "tiles", "apps", "dropped_phases",
-                         "noc_latency", "thermal_grid"):
-                value = manycore.get(name)
-                if isinstance(value, int) and not isinstance(value, bool) \
-                        and value < 0:
-                    problems.append(
-                        f"manycore.{name}: negative count {value}")
-    if "serve" in manifest:
-        serve = manifest["serve"]
-        _check_record(serve, _SERVE_FIELDS, "serve", problems)
-        if isinstance(serve, dict):
-            for name in ("requests", "rejected", "queue_depth"):
-                value = serve.get(name)
-                if isinstance(value, int) and not isinstance(value, bool) \
-                        and value < 0:
-                    problems.append(f"serve.{name}: negative count {value}")
-            ratio = serve.get("cache_hit_ratio")
-            if isinstance(ratio, (int, float)) \
-                    and not isinstance(ratio, bool) \
-                    and not 0.0 <= ratio <= 1.0:
-                problems.append(
-                    f"serve.cache_hit_ratio: {ratio} outside [0, 1]")
+    for name, (fields, extra_check) in _SECTIONS.items():
+        if name not in manifest:
+            continue
+        section = manifest[name]
+        _check_record(section, fields, name, problems)
+        if not isinstance(section, dict):
+            continue
+        for field, expected in fields.items():
+            value = section.get(field)
+            if expected is int and isinstance(value, int) \
+                    and not isinstance(value, bool) and value < 0:
+                problems.append(f"{name}.{field}: negative count {value}")
+        if extra_check is not None:
+            extra_check(section, problems)
     return problems
 
 

@@ -1,7 +1,8 @@
 """Engine-side telemetry: per-batch, per-spec and per-stage accounting.
 
-The :class:`~repro.engine.sweep.ExperimentEngine` owns one
-:class:`EngineTelemetry` and feeds it from ``run_specs``:
+Every :class:`~repro.engine.sweep.ExperimentEngine` owns one
+:class:`EngineTelemetry` and feeds it from ``run_specs`` — or, inside a
+:func:`~repro.obs.recorder.recording` scope, feeds the scope's:
 
 * one :class:`BatchRecord` per batch (spec count, hit/miss split, wall
   time, workers used),

@@ -14,13 +14,16 @@ Architecture (DESIGN.md §15):
   :func:`~repro.serve.protocol.execute_request` on the shared
   :class:`~repro.engine.sweep.ExperimentEngine` — whose worker pool is
   where the actual parallelism lives.  One service thread is deliberate:
-  the engine's trace memo and telemetry are single-threaded by design,
-  so the queue serialises *bookkeeping* while the process pool
-  parallelises *simulation*.
-* **Responses are run manifests**: each reply carries the engine
-  manifest sliced to the request's own telemetry delta, plus a
-  ``serve`` section (schema v8) with queue depth, wait/service time and
-  the cache hit ratio for that request.
+  the engine's trace memo is single-threaded by design, so the queue
+  serialises *bookkeeping* while the process pool parallelises
+  *simulation*.
+* **Responses are run manifests**: each request runs inside its own
+  :func:`~repro.obs.recording` scope, so the engine telemetry, timer
+  spans and named sections it records land on that scope alone, and the
+  manifest built over it is the request's own — plus a ``serve`` section
+  (schema v8) with queue depth, wait/service time and the share of the
+  request's specs served from cache.  The engine's own telemetry does
+  not grow while serving.
 * **Graceful drain**: ``stop(drain=True)`` (or ``POST /shutdown``)
   stops admissions, lets queued tickets finish, waits for open
   connections to flush their responses, then closes.
@@ -39,6 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set, Tuple
 
+from repro.obs import build_manifest, record_section, recording
 from repro.serve.protocol import (
     SERVE_SCHEMA_VERSION,
     ProtocolError,
@@ -248,34 +252,27 @@ class ReproServer:
     def _service(self, ticket: RequestTicket) -> Tuple[int, Dict[str, Any]]:
         ticket.started_at = time.monotonic()
         engine = self.engine
-        telemetry = engine.telemetry
-        stats_before = (engine.cache.stats.hits, engine.cache.stats.misses)
-        marks = {
-            "batches": len(telemetry.batches),
-            "kernel_batches": len(telemetry.kernel_batches),
-            "specs": len(telemetry.spec_timings),
-        }
-        counter_marks = {
-            "stalls": dict(telemetry.stall_cycles),
-            "counters": dict(telemetry.counters),
-            "mem_level_counts": dict(telemetry.mem_level_counts),
-        }
-        from repro.obs import recorded_spans
-
-        timer_mark = len(recorded_spans())
-        try:
-            results = execute_request(ticket.endpoint, ticket.request,
-                                      engine)
-        except ProtocolError as exc:
+        with recording() as recorder:
+            try:
+                results = execute_request(ticket.endpoint, ticket.request,
+                                          engine)
+            except ProtocolError as exc:
+                ticket.finished_at = time.monotonic()
+                return self._error_payload(exc.status, str(exc))
             ticket.finished_at = time.monotonic()
-            return self._error_payload(exc.status, str(exc))
-        ticket.finished_at = time.monotonic()
-        hits = engine.cache.stats.hits - stats_before[0]
-        lookups = hits + (engine.cache.stats.misses - stats_before[1])
-        manifest = self._request_manifest(
-            ticket, engine, marks, counter_marks, timer_mark,
-            cache_hit_ratio=hits / lookups if lookups else 0.0,
-        )
+            batches = recorder.telemetry.batches
+            specs = sum(batch.specs for batch in batches)
+            hits = sum(batch.hits for batch in batches)
+            record_section("serve", {
+                "requests": 1,
+                "rejected": 0,
+                "queue_depth": ticket.queue_depth_at_enqueue,
+                "wait_seconds": ticket.wait_seconds,
+                "service_seconds": ticket.service_seconds,
+                "cache_hit_ratio": hits / specs if specs else 0.0,
+            })
+            manifest = build_manifest(f"serve {ticket.endpoint}",
+                                      engine=engine)
         return 200, {
             "schema": SERVE_SCHEMA_VERSION,
             "status": "ok",
@@ -284,49 +281,6 @@ class ReproServer:
             "results": results,
             "manifest": manifest,
         }
-
-    def _request_manifest(self, ticket: RequestTicket, engine,
-                          marks: Dict[str, int],
-                          counter_marks: Dict[str, Dict[str, float]],
-                          timer_mark: int,
-                          cache_hit_ratio: float) -> Dict[str, Any]:
-        """The engine manifest sliced to this request's telemetry delta.
-
-        The engine's telemetry accumulates for the server's lifetime;
-        responses carry only what *this* request added (otherwise
-        response N grows with all N-1 predecessors).  List sections are
-        sliced at the pre-request marks; counter maps are subtracted.
-        """
-        from repro.obs import build_manifest, recorded_spans
-
-        manifest = build_manifest(
-            f"serve {ticket.endpoint}", engine=engine,
-            timers=recorded_spans()[timer_mark:])
-        manifest["batches"] = manifest["batches"][marks["batches"]:]
-        manifest["specs"] = manifest["specs"][marks["specs"]:]
-        manifest["kernel"]["batches"] = \
-            manifest["kernel"]["batches"][marks["kernel_batches"]:]
-        for section in ("stalls", "mem_level_counts"):
-            before = counter_marks[section]
-            manifest[section] = {
-                key: value - before.get(key, 0)
-                for key, value in manifest[section].items()
-                if value - before.get(key, 0)
-            }
-        before = counter_marks["counters"]
-        manifest["counters"] = {
-            key: value - before.get(key, 0)
-            for key, value in manifest["counters"].items()
-        }
-        manifest["serve"] = {
-            "requests": 1,
-            "rejected": 0,
-            "queue_depth": ticket.queue_depth_at_enqueue,
-            "wait_seconds": ticket.wait_seconds,
-            "service_seconds": ticket.service_seconds,
-            "cache_hit_ratio": cache_hit_ratio,
-        }
-        return manifest
 
     def serve_section(self) -> Dict[str, Any]:
         """Aggregate lifetime ``serve`` section (the shutdown manifest)."""

@@ -28,18 +28,13 @@ from repro.golden import (
     run_validation,
     write_golden,
 )
-from repro.obs import (
-    build_manifest,
-    clear_validation,
-    recorded_validation,
-    validate_manifest,
-)
+from repro.obs import build_manifest, recording, validate_manifest
 
 
 @pytest.fixture(autouse=True)
 def _isolate_validation_record():
-    yield
-    clear_validation()
+    with recording():
+        yield
 
 
 @pytest.fixture
@@ -267,12 +262,13 @@ class TestRunValidation:
     def test_manifest_embeds_drift_report(self, goldens):
         from repro.engine.sweep import ExperimentEngine
 
-        report = run_validation(only=["table1"], goldens_dir=goldens)
-        assert recorded_validation() is report
-        manifest = build_manifest(
-            "unit-test", engine=ExperimentEngine(jobs=1, cache_dir=None),
-            timers=[],
-        )
+        with recording() as rec:
+            report = run_validation(only=["table1"], goldens_dir=goldens)
+            assert rec.sections["validation"] is report
+            manifest = build_manifest(
+                "unit-test", engine=ExperimentEngine(jobs=1, cache_dir=None),
+                timers=[],
+            )
         assert manifest["validation"]["status"] == "pass"
         assert validate_manifest(manifest) == []
 

@@ -13,12 +13,14 @@ from repro.obs import (
     ManifestError,
     build_manifest,
     check_manifest,
+    current_recorder,
     metrics_path,
+    record_section,
+    recording,
     timer,
     validate_manifest,
     write_manifest,
 )
-from repro.obs.timer import drain_spans, recorded_spans
 from repro.uarch.multicore import run_parallel
 from repro.uarch.ooo import STALL_CAUSES, run_trace
 from repro.workloads.generator import generate_trace
@@ -26,6 +28,14 @@ from repro.workloads.parallel import parallel_by_name
 from repro.workloads.spec import spec_profiles
 
 UOPS = 600
+
+#: A well-formed ``explore`` manifest section.
+EXPLORE_SECTION = {
+    "space": "grid", "kind": "cartesian", "store": None, "chunk_size": 8,
+    "in_flight": 2, "total_points": 4, "unique_points": 4, "evaluated": 4,
+    "skipped": 0, "duplicates": 0, "chunks": 1, "frontier_size": 2,
+    "seconds": 0.5, "points_per_second": 8.0, "pool_reuses": 0,
+}
 
 
 def _small_engine_with_work(jobs: int = 1) -> ExperimentEngine:
@@ -40,25 +50,51 @@ def _small_engine_with_work(jobs: int = 1) -> ExperimentEngine:
 
 class TestTimer:
     def test_span_records_duration(self):
-        drain_spans()
-        with timer("unit.test") as span:
-            pass
+        with recording() as rec:
+            with timer("unit.test") as span:
+                pass
         assert span.seconds >= 0.0
-        names = [s.name for s in drain_spans()]
-        assert "unit.test" in names
+        assert [s.name for s in rec.spans] == ["unit.test"]
 
     def test_record_false_skips_registry(self):
-        drain_spans()
-        with timer("unit.skipped", record=False):
-            pass
-        assert all(s.name != "unit.skipped" for s in recorded_spans())
+        with recording() as rec:
+            with timer("unit.skipped", record=False):
+                pass
+        assert rec.spans == []
 
     def test_span_survives_exceptions(self):
-        drain_spans()
-        with pytest.raises(RuntimeError):
-            with timer("unit.raises"):
-                raise RuntimeError("boom")
-        assert [s.name for s in drain_spans()] == ["unit.raises"]
+        with recording() as rec:
+            with pytest.raises(RuntimeError):
+                with timer("unit.raises"):
+                    raise RuntimeError("boom")
+        assert [s.name for s in rec.spans] == ["unit.raises"]
+
+
+class TestRecorder:
+    def test_scope_isolates_sections_spans_and_telemetry(self):
+        root = current_recorder()
+        engine = ExperimentEngine(jobs=1)
+        with recording() as outer:
+            record_section("explore", {"space": "outer"})
+            with recording() as inner:
+                assert current_recorder() is inner
+                engine.single_core_runs(
+                    UOPS, configs=single_core_configs()[:1],
+                    profiles=spec_profiles()[:1])
+                with timer("unit.inner"):
+                    pass
+                manifest = build_manifest("unit-test", engine=engine)
+            assert current_recorder() is outer
+        assert current_recorder() is root
+        # The inner scope saw its own work and nothing of the outer's.
+        assert "explore" not in manifest
+        assert [t["name"] for t in manifest["timers"]] == ["unit.inner"]
+        assert len(manifest["specs"]) == 1
+        assert validate_manifest(manifest) == []
+        # The engine's own telemetry and the outer scope stayed empty.
+        assert engine.telemetry.spec_timings == []
+        assert outer.telemetry.spec_timings == [] and outer.spans == []
+        assert outer.sections == {"explore": {"space": "outer"}}
 
 
 class TestStallAttribution:
@@ -144,6 +180,7 @@ class TestManifest:
             lambda m: m["stalls"].update(rob=-1),
             lambda m: m.update(code_fingerprint="nothex"),
             lambda m: m["timers"].append({"name": 3, "seconds": "fast"}),
+            lambda m: m.update(explore=dict(EXPLORE_SECTION, chunk_size=-1)),
         ],
     )
     def test_validation_rejects_corruption(self, corrupt):

@@ -171,6 +171,35 @@ class TestServerBasics:
             assert second["manifest"]["kernel"]["batches"] == []
             assert validate_manifest(second["manifest"]) == []
 
+    def test_sections_do_not_leak_across_requests(self):
+        """A /validate response carries its drift report; the next
+        request's manifest must not inherit it."""
+        with _server() as server:
+            status, validated = request_json(
+                server.port, "POST", "/validate", {"only": ["table1"]})
+            assert status == 200
+            assert validated["manifest"]["validation"]["status"] == "pass"
+            status, swept = request_json(
+                server.port, "POST", "/sweep", SWEEP_BODY)
+            assert status == 200
+        assert "validation" not in swept["manifest"]
+        assert validate_manifest(swept["manifest"]) == []
+
+    def test_engine_telemetry_does_not_grow_while_serving(self):
+        """Requests record into their own scopes: the engine's lifetime
+        telemetry stays empty, so response cost cannot grow with the
+        server's history."""
+        engine = _engine()
+        with _server(engine=engine) as server:
+            for _ in range(3):
+                status, body = request_json(
+                    server.port, "POST", "/sweep", SWEEP_BODY)
+                assert status == 200 and body["manifest"]["specs"]
+        telemetry = engine.telemetry
+        assert telemetry.batches == [] and telemetry.spec_timings == []
+        assert telemetry.kernel_batches == []
+        assert telemetry.counters["uops"] == 0
+
     def test_served_sweep_identical_to_serial(self):
         reference = serial_reference("/sweep", SWEEP_BODY, engine=_engine())
         with _server() as server:
@@ -219,6 +248,40 @@ class TestConcurrentClients:
         for body, (_, served) in zip(bodies, responses):
             results = canonical_dumps(served["results"])
             assert by_seed.setdefault(body["seed"], results) == results
+
+
+class TestOverlappingRequests:
+    def test_each_manifest_lists_only_its_own_batches(self, monkeypatch):
+        """Two service threads: request A records one batch and waits
+        while request B records five; neither manifest may carry the
+        other's batches."""
+        a_recorded = threading.Event()
+        b_done = threading.Event()
+
+        def fake_execute(endpoint, request, engine=None):
+            if request["seed"] == 1:
+                engine.telemetry.record_batch(1, 0, 1, 0.0, 1)
+                a_recorded.set()
+                assert b_done.wait(timeout=30)
+            else:
+                for _ in range(5):
+                    engine.telemetry.record_batch(5, 0, 5, 0.0, 1)
+                b_done.set()
+            return {"evaluations": []}
+
+        monkeypatch.setattr(server_module, "execute_request", fake_execute)
+        with _server(service_threads=2) as server:
+            with ThreadPoolExecutor(max_workers=2) as clients:
+                first = clients.submit(request_json, server.port, "POST",
+                                       "/sweep", dict(SWEEP_BODY, seed=1))
+                assert a_recorded.wait(timeout=30)
+                second = clients.submit(request_json, server.port, "POST",
+                                        "/sweep", dict(SWEEP_BODY, seed=2))
+                (status_a, a), (status_b, b) = first.result(), second.result()
+        assert status_a == status_b == 200
+        assert [batch["specs"] for batch in a["manifest"]["batches"]] == [1]
+        assert [batch["specs"] for batch in b["manifest"]["batches"]] \
+            == [5] * 5
 
 
 class TestBackpressure:
@@ -327,15 +390,13 @@ class TestGracefulShutdown:
         assert section["requests"] == 1 and section["rejected"] == 0
         assert section["service_seconds"] > 0
         # Round-trips through the manifest layer as schema v9.
-        from repro.obs import build_manifest, clear_serve, record_serve
+        from repro.obs import build_manifest, record_section, recording
 
-        record_serve(section)
-        try:
+        with recording():
+            record_section("serve", section)
             manifest = build_manifest("test serve", engine=server.engine)
-            assert manifest["serve"] == section
-            assert validate_manifest(manifest) == []
-        finally:
-            clear_serve()
+        assert manifest["serve"] == section
+        assert validate_manifest(manifest) == []
 
 
 class TestHttpPlumbing:
