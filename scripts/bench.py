@@ -22,6 +22,13 @@ Sections
     Per-config scalar oracle vs :func:`repro.uarch.kernel.run_trace_batch`
     on one shared trace, plus the max CPI divergence vs the oracle
     (must be 0: the kernel is cycle-exact).
+``traces``
+    Trace synthesis throughput (``uops_per_s``, warmup included) over
+    the 21 SPEC profiles at the quick runner size; ``microops_built``,
+    the :class:`~repro.uarch.isa.MicroOp` objects constructed by one
+    ``run_trace_batch`` per trace (must be 0: the kernel reads the trace
+    columns); and ``digest_match`` of the pinned ``goldens/traces.json``
+    cases.
 ``thermal``
     Scalar ``lil_matrix``+``spsolve`` reference vs the vectorized,
     ``splu``-factorized fast path, amortised over a Figure-8-sized batch
@@ -285,6 +292,62 @@ def bench_kernel(uops: int) -> dict:
                 - o.cycles / max(1, o.stats.uops))
             for r, o in zip(batched, oracle)
         ),
+    }
+
+
+#: Measured uops per SPEC profile in the ``traces`` section (the quick
+#: runner size, in both modes, so records stay comparable).
+TRACE_BENCH_UOPS = 1000
+
+
+def bench_traces(uops: int) -> dict:
+    """Columnar trace synthesis: throughput, MicroOp-free kernel path
+    and the pinned generator digests."""
+    from repro.core.configs import single_core_configs
+    from repro.golden import load_golden, trace_digest
+    from repro.uarch.isa import MicroOp
+    from repro.uarch.kernel import run_trace_batch
+    from repro.workloads.generator import generate_trace
+    from repro.workloads.parallel import parallel_profiles
+    from repro.workloads.spec import spec_profiles
+
+    with timer("traces.synthesis") as span:
+        traces = [generate_trace(profile, uops, seed=1234)
+                  for profile in spec_profiles()]
+    total = sum(len(trace) for trace in traces)
+
+    built = [0]
+    check = MicroOp.__post_init__
+
+    def counting_post_init(self):
+        built[0] += 1
+        check(self)
+
+    configs = single_core_configs()
+    MicroOp.__post_init__ = counting_post_init
+    try:
+        for trace in traces:
+            run_trace_batch(configs, trace)
+    finally:
+        MicroOp.__post_init__ = check
+
+    cases = load_golden("traces")["payload"]["cases"]
+    digest_match = True
+    for case in cases:
+        profiles = (spec_profiles() if case["suite"] == "spec"
+                    else parallel_profiles())
+        trace = generate_trace(profiles[case["index"]], case["uops"],
+                               seed=case["seed"],
+                               thread=case["thread"] or 0)
+        digest_match &= trace_digest(trace) == case["digest"]
+    return {
+        "profiles": len(traces),
+        "uops": total,
+        "synthesis_seconds": round(span.seconds, 4),
+        "uops_per_s": round(total / max(span.seconds, 1e-9)),
+        "microops_built": built[0],
+        "digest_cases": len(cases),
+        "digest_match": digest_match,
     }
 
 
@@ -752,6 +815,13 @@ def main() -> None:
           f"({record['kernel']['batched_speedup']}x) at width "
           f"{record['kernel']['batch_width']}, "
           f"max CPI divergence {record['kernel']['max_cpi_divergence']:.2e}")
+
+    print(f"benchmarking trace synthesis (uops={TRACE_BENCH_UOPS}) ...")
+    record["traces"] = bench_traces(TRACE_BENCH_UOPS)
+    print(f"  {record['traces']['uops_per_s']} uops/s over "
+          f"{record['traces']['profiles']} profiles, "
+          f"{record['traces']['microops_built']} MicroOps built by the "
+          f"kernel, digests match: {record['traces']['digest_match']}")
 
     print(f"benchmarking thermal solver (grid={sizes['grid']}) ...")
     record["thermal"] = bench_thermal(sizes["grid"], sizes["solves"])

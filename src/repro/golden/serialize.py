@@ -25,6 +25,8 @@ import hashlib
 import math
 from typing import Any
 
+from repro.uarch.isa import OP_ORDER
+
 #: Tag key marking a non-finite float in canonical form.
 NONFINITE_KEY = "__nonfinite__"
 
@@ -88,10 +90,17 @@ def trace_digest(trace) -> str:
     test suite so tests, benchmarks and the ``traces`` golden artifact
     share one definition.
     """
+    # Hashes each µop's ``(op.value, src1, src2, address, pc, taken,
+    # barrier)`` repr, read from the columns (0 distances are ``None``).
+    values = [op.value for op in OP_ORDER]
+    columns = trace.columns
     hasher = hashlib.sha256()
-    for u in trace.ops:
-        hasher.update(repr((u.op.value, u.src1, u.src2, u.address, u.pc,
-                            u.taken, u.barrier)).encode())
+    update = hasher.update
+    for code, src1, src2, address, pc, taken, barrier in zip(
+            columns.op, columns.src1, columns.src2, columns.address,
+            columns.pc, columns.taken, columns.barrier):
+        update(repr((values[code], src1 or None, src2 or None, address, pc,
+                     taken, barrier)).encode())
     hasher.update(repr((trace.name, trace.warmup_ops, trace.resident_data,
                         trace.resident_code)).encode())
     return hasher.hexdigest()

@@ -19,6 +19,8 @@ from array import array
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.configs import CoreConfig
 
 
@@ -95,7 +97,7 @@ def _lines_digest(lines: List[int]) -> bytes:
     return hashlib.blake2b(array("q", lines).tobytes(), digest_size=16).digest()
 
 
-def _newest_first_tags(streams, line_bytes: int) -> List[int]:
+def _newest_first_tags(streams, line_bytes: int) -> np.ndarray:
     """Distinct tags of ``streams`` in *reverse* last-access order.
 
     In an access-only sequence each set ends up holding its tags in
@@ -103,35 +105,40 @@ def _newest_first_tags(streams, line_bytes: int) -> List[int]:
     that (an evicted tag re-accessed later reinstalls at its new
     last-access position).  The order depends only on the streams and the
     line size, so levels sharing both (L2 and L3) share this pass.
+
+    On the reversed tag stream, a tag's first occurrence is its last
+    access; ``np.unique`` finds those positions, and sorting them gives
+    the newest-first order.
     """
-    recency: Dict[int, None] = {}
-    for lines in streams:
-        for address in lines:
-            tag = address // line_bytes
-            if tag in recency:
-                del recency[tag]
-            recency[tag] = None
-    return list(reversed(recency))
+    tags = np.concatenate(
+        [np.asarray(lines, dtype=np.int64) for lines in streams]
+    ) // line_bytes
+    reversed_tags = tags[::-1]
+    _, first = np.unique(reversed_tags, return_index=True)
+    return reversed_tags[np.sort(first)]
 
 
-def _distribute_tags(newest_first: List[int], sets: int,
+def _distribute_tags(newest_first: np.ndarray, sets: int,
                      ways: int) -> List[List[int]]:
-    """Fill per-set LRU lists from a newest-first tag order."""
-    lines: List[List[int]] = [[] for _ in range(sets)]
-    for tag in newest_first:
-        line = lines[tag % sets]
-        if len(line) < ways:
-            line.append(tag)
-    return [line[::-1] for line in lines]
+    """Per-set LRU lists (LRU-first) from a newest-first tag order: each
+    set keeps its ``ways`` newest tags.
 
-
-def _warmed_lines(streams, line_bytes: int, sets: int,
-                  ways: int) -> List[List[int]]:
-    """LRU state after accessing ``streams`` in order, computed directly
-    (O(accesses) instead of replaying every access through the LRU)."""
-    return _distribute_tags(
-        _newest_first_tags(streams, line_bytes), sets, ways
-    )
+    A stable sort by set index keeps the newest-first order inside each
+    set; a tag's rank within its set decides whether it survives.  Read
+    backwards, the survivors run from the last set to the first, each
+    set oldest-first — the order its LRU list holds them in.
+    """
+    set_index = newest_first % sets
+    order = np.argsort(set_index, kind="stable")
+    counts = np.bincount(set_index, minlength=sets)
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(len(order)) - starts[set_index[order]]
+    kept = order[rank < ways]
+    tags = newest_first[kept[::-1]].tolist()
+    ends = np.cumsum(np.minimum(counts, ways)[::-1]).tolist()
+    lines = [tags[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+    lines.reverse()
+    return lines
 
 
 class CacheHierarchy:

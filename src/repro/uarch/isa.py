@@ -2,8 +2,7 @@
 
 The simulator is trace-driven (the paper drives Multi2Sim with SPEC2006 /
 SPLASH2 / PARSEC binaries; we drive our core model with statistically
-faithful synthetic traces).  A trace is a sequence of :class:`MicroOp`
-records carrying:
+faithful synthetic traces).  Every micro-op in a trace carries:
 
 * the operation class (which functional unit and latency it needs),
 * register dependencies, expressed as *producer distances* (how many µops
@@ -12,13 +11,18 @@ records carrying:
 * a memory address for loads/stores (fed to the real cache hierarchy),
 * a PC and taken/not-taken outcome for branches (fed to the real
   tournament predictor).
+
+A trace's primary form is columnar (:class:`TraceColumns`, one list per
+field), which is what the generator writes and the batched kernel
+reads.  The per-op :class:`MicroOp` list (:attr:`Trace.ops`) is built
+lazily, only for the scalar oracle and for tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 class OpClass(enum.Enum):
@@ -35,6 +39,11 @@ class OpClass(enum.Enum):
     BRANCH = "branch"
     COMPLEX = "complex"  # multi-uop x86 instruction (complex decoder path)
     SYNC = "sync"  # barrier/lock marker in parallel traces
+
+
+#: Stable integer encoding of :class:`OpClass` (the op-code column).
+OP_ORDER = tuple(OpClass)
+OP_CODE: Dict[OpClass, int] = {op: code for code, op in enumerate(OP_ORDER)}
 
 
 #: Execution latency in cycles per op class (Table 9's FUs & latencies).
@@ -97,36 +106,118 @@ class MicroOp:
                 raise ValueError("producer distance must be >= 1")
 
 
-@dataclasses.dataclass
+class TraceColumns:
+    """Column-major body of a trace: one list per :class:`MicroOp` field.
+
+    Encodings: ``op`` holds :data:`OP_CODE` integers; a producer distance
+    of ``0`` in ``src1`` / ``src2`` means "operand ready" (``None`` on the
+    µop — real distances are >= 1); ``address`` is ``None`` for non-memory
+    ops.  ``pc``, ``taken`` and ``barrier`` are stored as on the µop.
+    """
+
+    __slots__ = ("op", "src1", "src2", "address", "pc", "taken", "barrier")
+
+    def __init__(self, op: List[int], src1: List[int], src2: List[int],
+                 address: List[Optional[int]], pc: List[int],
+                 taken: List[bool], barrier: List[int]) -> None:
+        self.op = op
+        self.src1 = src1
+        self.src2 = src2
+        self.address = address
+        self.pc = pc
+        self.taken = taken
+        self.barrier = barrier
+
+    def __len__(self) -> int:
+        return len(self.op)
+
+    @classmethod
+    def from_ops(cls, ops: Iterable[MicroOp]) -> "TraceColumns":
+        """Columns of a µop list (hand-built traces)."""
+        ops = list(ops)
+        return cls(
+            [OP_CODE[u.op] for u in ops],
+            [u.src1 or 0 for u in ops],
+            [u.src2 or 0 for u in ops],
+            [u.address for u in ops],
+            [u.pc for u in ops],
+            [u.taken for u in ops],
+            [u.barrier for u in ops],
+        )
+
+    def to_ops(self) -> List[MicroOp]:
+        """The µop list these columns encode (validated per µop)."""
+        return [
+            MicroOp(OP_ORDER[code], src1 or None, src2 or None, address, pc,
+                    taken, barrier)
+            for code, src1, src2, address, pc, taken, barrier in zip(
+                self.op, self.src1, self.src2, self.address, self.pc,
+                self.taken, self.barrier)
+        ]
+
+
 class Trace:
     """A finished instruction trace plus its identity.
+
+    Built either from columns (the generator) or from a µop list
+    (``Trace(name, ops=[...])``, hand-written tests); the other form is
+    derived on first use and cached, so a trace is immutable once built.
 
     ``warmup_ops`` marks a fast-forward prefix: the simulator replays it
     through the caches and predictor untimed, then measures the rest —
     the standard steady-state methodology for sampled simulation.
     """
 
-    name: str
-    ops: List[MicroOp]
-    warmup_ops: int = 0
-    #: Checkpoint-style warm state: line addresses resident in the data /
-    #: instruction hierarchy at the start of the measured region.
-    resident_data: List[int] = dataclasses.field(default_factory=list)
-    resident_code: List[int] = dataclasses.field(default_factory=list)
+    def __init__(self, name: str, ops: Optional[Sequence[MicroOp]] = None,
+                 warmup_ops: int = 0,
+                 resident_data: Optional[List[int]] = None,
+                 resident_code: Optional[List[int]] = None,
+                 columns: Optional[TraceColumns] = None) -> None:
+        if (ops is None) == (columns is None):
+            raise ValueError("a trace needs exactly one of ops or columns")
+        self.name = name
+        self.warmup_ops = warmup_ops
+        #: Checkpoint-style warm state: line addresses resident in the
+        #: data / instruction hierarchy at the start of the measured region.
+        self.resident_data = resident_data if resident_data is not None else []
+        self.resident_code = resident_code if resident_code is not None else []
+        self._ops = list(ops) if ops is not None else None
+        self._columns = columns
+
+    @property
+    def columns(self) -> TraceColumns:
+        if self._columns is None:
+            self._columns = TraceColumns.from_ops(self._ops)
+        return self._columns
+
+    @property
+    def ops(self) -> List[MicroOp]:
+        """The µop list, built from the columns on first use (scalar
+        oracle and tests only; the kernel reads :attr:`columns`)."""
+        if self._ops is None:
+            self._ops = self._columns.to_ops()
+        return self._ops
 
     def __len__(self) -> int:
-        return len(self.ops)
+        if self._columns is not None:
+            return len(self._columns)
+        return len(self._ops)
 
     def __iter__(self):
         return iter(self.ops)
 
+    def __repr__(self) -> str:
+        return (f"Trace(name={self.name!r}, uops={len(self)}, "
+                f"warmup_ops={self.warmup_ops})")
+
     def op_mix(self) -> dict:
         """Fraction of each op class in the trace (for sanity checks)."""
-        counts: dict = {}
-        for op in self.ops:
-            counts[op.op] = counts.get(op.op, 0) + 1
-        total = max(1, len(self.ops))
-        return {klass: count / total for klass, count in counts.items()}
+        codes = self.columns.op
+        total = max(1, len(codes))
+        return {
+            OP_ORDER[code]: codes.count(code) / total
+            for code in sorted(set(codes))
+        }
 
 
 def validate_trace(ops: Sequence[MicroOp]) -> None:

@@ -5,7 +5,7 @@ configurations that differ only in latencies, widths and frequency.  The
 scalar :class:`~repro.uarch.ooo.OutOfOrderCore` interleaves three kinds
 of work per micro-op:
 
-1. **trace decoding** — attribute lookups on :class:`MicroOp` objects,
+1. **trace decoding** — per-op field reads and latency lookups,
 2. **microarchitectural state that is configuration-independent** — the
    branch predictor outcome and the cache level each access is served
    from depend only on the access *sequence* and the L2 geometry
@@ -14,16 +14,20 @@ of work per micro-op:
 3. **timing recurrences** — the only part that actually varies per
    configuration.
 
-This kernel factors the three apart.  A trace is decoded **once** into
-flat arrays (op class codes, producer distances, FU latencies); the
-predictor and cache hierarchy are replayed **once per cache geometry**
-into per-access level/outcome arrays; and the timing recurrences then
+This kernel factors the three apart.  A trace's measured region is
+decoded **once** into flat arrays by slicing its columns
+(:class:`~repro.uarch.isa.TraceColumns`: op codes, producer distances,
+plus derived FU latencies); the predictor and cache hierarchy are
+replayed **once per cache geometry** by walking the columns into
+per-access level/outcome arrays; and the timing recurrences then
 run in one generated loop, unrolled across the configurations of a batch
 (see :func:`_loop_source`).  The loop is compiled once per batch width —
 the per-config constants are arguments, not literals — and a batch wider
 than :data:`MAX_BATCH_WIDTH` runs in chunks.  A single configuration
-(:func:`simulate_core`, the multicore per-core primitive) is a width-1
-batch.
+(:func:`simulate_core`, the multicore per-core primitive, which takes
+every config of a geometry group at once) is one batch too.  No
+:class:`~repro.uarch.isa.MicroOp` is built on this path: ``trace.ops``
+exists only for the scalar oracle.
 
 :func:`run_trace_batch` is the public entry point; it is **cycle-exact**
 against the scalar oracle — same ``SimResult``, same stats, same stall
@@ -50,7 +54,9 @@ from repro.uarch.cache import (
 from repro.uarch.isa import (
     FP_DIV_ISSUE_INTERVAL,
     FU_POOLS,
+    OP_CODE,
     OP_LATENCY,
+    OP_ORDER,
     OpClass,
     Trace,
 )
@@ -61,20 +67,23 @@ from repro.uarch.ooo import (
     SimStats,
 )
 
-#: Stable integer encoding of :class:`OpClass` (SoA op-code arrays).
-_OP_ORDER = tuple(OpClass)
-_CODE = {op: index for index, op in enumerate(_OP_ORDER)}
-_LOAD = _CODE[OpClass.LOAD]
-_STORE = _CODE[OpClass.STORE]
-_BRANCH = _CODE[OpClass.BRANCH]
-_COMPLEX = _CODE[OpClass.COMPLEX]
-_SYNC = _CODE[OpClass.SYNC]
-_DIV = _CODE[OpClass.DIV]
-_FP_DIV = _CODE[OpClass.FP_DIV]
-_FP_ADD = _CODE[OpClass.FP_ADD]
-_FP_MUL = _CODE[OpClass.FP_MUL]
-_LAT = tuple(OP_LATENCY[op] for op in _OP_ORDER)
-_POOL_SIZES = tuple(FU_POOLS[op] for op in _OP_ORDER)
+_LOAD = OP_CODE[OpClass.LOAD]
+_STORE = OP_CODE[OpClass.STORE]
+_BRANCH = OP_CODE[OpClass.BRANCH]
+_COMPLEX = OP_CODE[OpClass.COMPLEX]
+_SYNC = OP_CODE[OpClass.SYNC]
+_DIV = OP_CODE[OpClass.DIV]
+_FP_DIV = OP_CODE[OpClass.FP_DIV]
+_FP_ADD = OP_CODE[OpClass.FP_ADD]
+_FP_MUL = OP_CODE[OpClass.FP_MUL]
+_LAT = tuple(OP_LATENCY[op] for op in OP_ORDER)
+_POOL_SIZES = tuple(FU_POOLS[op] for op in OP_ORDER)
+#: Cycles an op holds its unit (Table 9): only the divides block it for
+#: the full latency; everything else is pipelined.
+_BUSY = tuple(
+    _LAT[code] if code in (_DIV, _FP_DIV) else 1
+    for code in range(len(OP_ORDER))
+)
 
 #: Memory levels in fixed order; replay stores per-access level codes.
 _LEVELS = ("L1", "L2", "L3", "DRAM")
@@ -101,7 +110,8 @@ def vector_min_width() -> int:
 
 
 class TraceArrays:
-    """Flat, configuration-independent decode of a trace's measured region."""
+    """Flat, configuration-independent decode of a trace's measured
+    region, sliced from the trace's columns."""
 
     __slots__ = (
         "n", "codes", "src1", "src2", "lat", "busy",
@@ -111,60 +121,29 @@ class TraceArrays:
     )
 
     def __init__(self, trace: Trace) -> None:
-        ops = trace.ops[trace.warmup_ops:]
-        n = len(ops)
+        columns = trace.columns
+        warmup = trace.warmup_ops
+        codes = columns.op[warmup:]
+        n = len(codes)
         self.n = n
-        codes = [0] * n
-        src1 = [0] * n
-        src2 = [0] * n
-        lat = [0] * n
-        busy = [0] * n
-        load_pos: List[int] = []
-        store_pos: List[int] = []
-        sync_pos: List[int] = []
-        branches = fp_ops = complex_decodes = 0
-        code_of = _CODE
-        for i, uop in enumerate(ops):
-            code = code_of[uop.op]
-            codes[i] = code
-            # A producer distance beyond the measured prefix never gates
-            # (the oracle's ``dist <= i`` check); encode it as "ready".
-            dist = uop.src1
-            if dist is not None and dist <= i:
-                src1[i] = dist
-            dist = uop.src2
-            if dist is not None and dist <= i:
-                src2[i] = dist
-            latency = _LAT[code]
-            lat[i] = latency
-            # Table 9: only the divides block their unit for the full
-            # latency; everything else is pipelined.
-            busy[i] = latency if (code == _DIV or code == _FP_DIV) else 1
-            if code == _LOAD:
-                load_pos.append(i)
-            elif code == _STORE:
-                store_pos.append(i)
-            elif code == _BRANCH:
-                branches += 1
-            elif code == _COMPLEX:
-                complex_decodes += 1
-            elif code == _SYNC:
-                sync_pos.append(i)
-            elif code == _FP_ADD or code == _FP_MUL or code == _FP_DIV:
-                fp_ops += 1
         self.codes = codes
-        self.src1 = src1
-        self.src2 = src2
-        self.lat = lat
-        self.busy = busy
-        self.load_pos = load_pos
-        self.store_pos = store_pos
-        self.sync_pos = sync_pos
-        self.loads = len(load_pos)
-        self.stores = len(store_pos)
-        self.branches = branches
-        self.fp_ops = fp_ops
-        self.complex_decodes = complex_decodes
+        # A producer distance beyond the measured prefix never gates (the
+        # oracle's ``dist <= i`` check); encode it as "ready" (0).
+        self.src1 = [d if d <= i else 0
+                     for i, d in enumerate(columns.src1[warmup:])]
+        self.src2 = [d if d <= i else 0
+                     for i, d in enumerate(columns.src2[warmup:])]
+        self.lat = [_LAT[code] for code in codes]
+        self.busy = [_BUSY[code] for code in codes]
+        self.load_pos = [i for i, code in enumerate(codes) if code == _LOAD]
+        self.store_pos = [i for i, code in enumerate(codes) if code == _STORE]
+        self.sync_pos = [i for i, code in enumerate(codes) if code == _SYNC]
+        self.loads = len(self.load_pos)
+        self.stores = len(self.store_pos)
+        self.branches = codes.count(_BRANCH)
+        self.fp_ops = (codes.count(_FP_ADD) + codes.count(_FP_MUL)
+                       + codes.count(_FP_DIV))
+        self.complex_decodes = codes.count(_COMPLEX)
         self.ifetch_blocks = (n + FETCH_BLOCK_UOPS - 1) // FETCH_BLOCK_UOPS
 
 
@@ -220,20 +199,17 @@ def branch_outcomes(trace: Trace) -> List[bool]:
     state = _kernel_state(trace)
     corrects = state.get("branches")
     if corrects is None:
-        predictor = TournamentPredictor()
-        predict_and_train = predictor.predict_and_train
-        ops = trace.ops
+        predict_and_train = TournamentPredictor().predict_and_train
+        columns = trace.columns
+        pcs = columns.pc
+        taken = columns.taken
         warmup = trace.warmup_ops
-        BRANCH = OpClass.BRANCH
-        for i in range(warmup):
-            uop = ops[i]
-            if uop.op is BRANCH:
-                predict_and_train(uop.pc, uop.taken)
         corrects = []
-        for i in range(warmup, len(ops)):
-            uop = ops[i]
-            if uop.op is BRANCH:
-                corrects.append(predict_and_train(uop.pc, uop.taken))
+        for i, code in enumerate(columns.op):
+            if code == _BRANCH:
+                correct = predict_and_train(pcs[i], taken[i])
+                if i >= warmup:
+                    corrects.append(correct)
         state["branches"] = corrects
     return corrects
 
@@ -289,10 +265,11 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
     caches = CacheHierarchy(donor_config, core_id, None)
     if trace.resident_data or trace.resident_code:
         caches.preload(trace.resident_data, trace.resident_code)
-    ops = trace.ops
+    columns = trace.columns
+    codes = columns.op
+    addresses = columns.address
+    pcs = columns.pc
     warmup = trace.warmup_ops
-    LOAD = OpClass.LOAD
-    STORE = OpClass.STORE
     il1 = _level_walker(caches.il1)
     dl1 = _level_walker(caches.dl1)
     l2 = _level_walker(caches.l2)
@@ -333,38 +310,41 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
     # interact, so the split replay is exact.  The directory account runs
     # *before* the cache lookup, matching ``CacheHierarchy.data_access``.
     for i in range(warmup):
-        uop = ops[i]
         if i % FETCH_BLOCK_UOPS == 0:
-            fetch_code(uop.pc if uop.pc else i * 4)
-        op = uop.op
-        if op is LOAD or op is STORE:
+            pc = pcs[i]
+            fetch_code(pc if pc else i * 4)
+        code = codes[i]
+        if code == _LOAD or code == _STORE:
+            address = addresses[i]
             if account is not None:
-                account(core_id, uop.address, op is STORE, noc_penalty)
-            data_code(uop.address)
+                account(core_id, address, code == _STORE, noc_penalty)
+            data_code(address)
     fetch_levels: List[int] = []
     load_levels: List[int] = []
     load_remote: List[int] = []
     code_counts = [0, 0, 0, 0]
-    for i in range(warmup, len(ops)):
-        uop = ops[i]
+    for i in range(warmup, len(codes)):
         measured_index = i - warmup
         if measured_index % FETCH_BLOCK_UOPS == 0:
+            pc = pcs[i]
             fetch_levels.append(
-                fetch_code(uop.pc if uop.pc else measured_index * 4)
+                fetch_code(pc if pc else measured_index * 4)
             )
-        op = uop.op
-        if op is LOAD:
+        code = codes[i]
+        if code == _LOAD:
+            address = addresses[i]
             extra = 0
             if account is not None:
-                extra = account(core_id, uop.address, False, noc_penalty)
-            code = data_code(uop.address)
-            code_counts[code] += 1
-            load_levels.append(code)
+                extra = account(core_id, address, False, noc_penalty)
+            level = data_code(address)
+            code_counts[level] += 1
+            load_levels.append(level)
             load_remote.append(1 if extra else 0)
-        elif op is STORE:
+        elif code == _STORE:
+            address = addresses[i]
             if account is not None:
-                account(core_id, uop.address, True, noc_penalty)
-            data_code(uop.address)
+                account(core_id, address, True, noc_penalty)
+            data_code(address)
     counts = {
         level: count
         for level, count in zip(_LEVELS, code_counts) if count
@@ -739,12 +719,14 @@ def _time_merged(trace: Trace, arrays: TraceArrays,
 # -- public entry points ------------------------------------------------------
 
 
-def simulate_core(trace: Trace, config: CoreConfig, image: MemoryImage,
-                  noc_penalty: int = 0) -> SimResult:
-    """Time one (trace, config) pair against a prebuilt memory image
-    (the multicore batch driver's per-core primitive): a width-1 batch."""
+def simulate_core(trace: Trace, configs: Sequence[CoreConfig],
+                  image: MemoryImage, noc_penalty: int = 0) -> List[SimResult]:
+    """Time one core's trace under every config in ``configs`` against a
+    prebuilt memory image (the multicore batch's per-core
+    primitive): one batch over the configs that share the image's
+    geometry.  Results come back in config order."""
     return _time_merged(trace, decode(trace), branch_outcomes(trace), image,
-                        [config], noc_penalty)[0]
+                        list(configs), noc_penalty)
 
 
 def run_trace_batch(configs: Sequence[CoreConfig],

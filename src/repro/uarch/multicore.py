@@ -407,31 +407,6 @@ def prepare_geometry_replay(
     return images, transfers, penalty
 
 
-def evaluate_tile_configs(
-    tiles: Sequence[CoreConfig],
-    profile: AppProfile,
-    total_uops: int,
-    traces: List,
-    images: List,
-    transfers: int,
-    penalty: int,
-    name: Optional[str] = None,
-) -> MulticoreResult:
-    """The configuration-dependent half of a tile batch: per-tile timing
-    recurrences over prepared replay state, then barrier alignment.
-    Bit-exact against :func:`run_parallel_tiles` for the same trace set
-    and geometry."""
-    from repro.uarch import kernel
-
-    per_core = [
-        kernel.simulate_core(trace, tile, image, noc_penalty=penalty)
-        for tile, trace, image in zip(tiles, traces, images)
-    ]
-    return _tile_result(
-        tiles, profile, total_uops, per_core, transfers, penalty, name,
-    )
-
-
 def evaluate_tiles(
     tiles: Sequence[CoreConfig],
     profile: AppProfile,
@@ -444,9 +419,12 @@ def evaluate_tiles(
 
     Traces are memoized per (profile, share, seed, thread) and the
     coherence replay per per-tile geometry, so repeated tile lists over
-    the same workload amortise everything but the timing recurrences.
-    Cycle-exact against the oracle path.
+    the same workload amortise everything but the timing recurrences,
+    which run as one single-config kernel batch per tile.  Cycle-exact
+    against the oracle path.
     """
+    from repro.uarch import kernel
+
     if not profile.is_parallel:
         raise ValueError(f"{profile.name} is not a parallel profile")
     tiles = list(tiles)
@@ -464,9 +442,12 @@ def evaluate_tiles(
     images, transfers = _prepare_tile_replay(
         profile, seed, traces, shares, geometry, tiles, penalty,
     )
-    return evaluate_tile_configs(
-        tiles, profile, total_uops, traces, images, transfers, penalty,
-        name=name,
+    per_core = [
+        kernel.simulate_core(trace, [tile], image, noc_penalty=penalty)[0]
+        for tile, trace, image in zip(tiles, traces, images)
+    ]
+    return _tile_result(
+        tiles, profile, total_uops, per_core, transfers, penalty, name,
     )
 
 
@@ -481,11 +462,14 @@ def run_parallel_batch(
     Bit-exact against per-config :func:`run_parallel` calls, but configs
     with the same core count share generated traces, and configs with
     the same (core count, L2 geometry) additionally share the
-    coherence-sequenced cache replay
-    (:func:`prepare_geometry_replay`); only the per-core timing
-    recurrences (:func:`evaluate_tile_configs`) run per config, each
-    core a width-1 batch of the :mod:`repro.uarch.kernel` generated loop.
+    coherence-sequenced cache replay (:func:`prepare_geometry_replay`).
+    Each core of such a group is then timed once, as one
+    :func:`repro.uarch.kernel.simulate_core` batch over all of the
+    group's configs, and each config's per-core results are
+    barrier-aligned into its :class:`MulticoreResult`.
     """
+    from repro.uarch import kernel
+
     if not profile.is_parallel:
         raise ValueError(f"{profile.name} is not a parallel profile")
     results: List[Optional[MulticoreResult]] = [None] * len(configs)
@@ -506,10 +490,15 @@ def run_parallel_batch(
                 profile, total_uops, seed, traces, cores, shared_l2,
                 donor=configs[geo_indices[0]],
             )
-            for index in geo_indices:
-                config = configs[index]
-                results[index] = evaluate_tile_configs(
-                    [config] * len(traces), profile, total_uops, traces, images,
-                    transfers, penalty, name=config.name,
+            group = [configs[index] for index in geo_indices]
+            per_core = [
+                kernel.simulate_core(trace, group, image, noc_penalty=penalty)
+                for trace, image in zip(traces, images)
+            ]
+            for k, (index, config) in enumerate(zip(geo_indices, group)):
+                results[index] = _tile_result(
+                    [config] * cores, profile, total_uops,
+                    [core_results[k] for core_results in per_core],
+                    transfers, penalty, config.name,
                 )
     return results

@@ -6,6 +6,9 @@ dependence structure, address stream and branch stream follow the profile.
 Addresses and branches are *raw material*: the simulator's caches and
 predictor decide what hits and what mispredicts.
 
+The trace is written straight into :class:`~repro.uarch.isa.TraceColumns`
+by one loop; no :class:`~repro.uarch.isa.MicroOp` is built here.
+
 Generation is fully deterministic per ``(profile, seed, thread)`` so that
 benchmark runs are reproducible.
 """
@@ -16,7 +19,7 @@ import random
 import zlib
 from typing import List, Optional
 
-from repro.uarch.isa import MicroOp, OpClass, Trace
+from repro.uarch.isa import OP_CODE, OpClass, Trace, TraceColumns
 from repro.workloads.profiles import AppProfile
 
 #: Base of the shared region used by parallel traces.
@@ -60,141 +63,177 @@ class TraceGenerator:
             self._branch_bias.append(bias)
         self._code_ptr = 4096
 
-    # -- address streams ------------------------------------------------------
-
-    def _data_address(self) -> int:
-        """Next data address: hot set, stream, shared, or random walk."""
-        profile = self.profile
-        roll = self._rng.random()
-        if profile.is_parallel and roll < profile.sharing_frac:
-            # Shared region: all threads touch the same lines.
-            return SHARED_REGION_BASE + self._rng.randrange(
-                max(64, profile.working_set_bytes // 8)
-            )
-        if roll < profile.sharing_frac + profile.hot_frac * (1 - profile.sharing_frac):
-            return self._private_base + self._rng.randrange(profile.hot_set_bytes)
-        if self._rng.random() < profile.stream_frac:
-            self._stream_ptr += profile.stride_bytes
-            span = self._private_base + profile.working_set_bytes
-            if self._stream_ptr >= span:
-                self._stream_ptr = self._private_base
-            return self._stream_ptr
-        return self._private_base + self._rng.randrange(self._pool_lines) * self._pool_stride
-
-    def _code_address(self) -> int:
-        """Next instruction-block address (mostly sequential)."""
-        if self._rng.random() < 0.1:
-            self._code_ptr = 4096 + (
-                self._rng.randrange(self.profile.code_bytes) & ~31
-            )
-        else:
-            self._code_ptr += 32
-            if self._code_ptr >= 4096 + self.profile.code_bytes:
-                self._code_ptr = 4096
-        return self._code_ptr
-
-    # -- dependencies -----------------------------------------------------------
-
-    def _dep(self, index: int) -> Optional[int]:
-        """Draw one producer distance (None = operand already ready)."""
-        profile = self.profile
-        if index == 0 or self._rng.random() > 0.55:
-            return None
-        if self._rng.random() < profile.serial_frac:
-            distance = 1 + int(self._rng.expovariate(1.0 / 2.0))
-        else:
-            distance = 1 + int(
-                self._rng.expovariate(1.0 / profile.dep_distance_mean)
-            )
-        return min(distance, index)
-
-    # -- op synthesis -----------------------------------------------------------
-
-    def _op_class(self) -> OpClass:
-        profile = self.profile
-        roll = self._rng.random()
-        thresholds = (
-            (profile.load_frac, OpClass.LOAD),
-            (profile.store_frac, OpClass.STORE),
-            (profile.branch_frac, OpClass.BRANCH),
-            (profile.fp_frac, None),  # refined below
-            (profile.mul_frac, OpClass.MUL),
-            (profile.div_frac, OpClass.DIV),
-            (profile.complex_frac, OpClass.COMPLEX),
-        )
-        acc = 0.0
-        for frac, klass in thresholds:
-            acc += frac
-            if roll < acc:
-                if klass is not None:
-                    return klass
-                fp_roll = self._rng.random()
-                if fp_roll < 0.55:
-                    return OpClass.FP_ADD
-                if fp_roll < 0.93:
-                    return OpClass.FP_MUL
-                return OpClass.FP_DIV
-        return OpClass.ALU
-
     def generate(self, num_uops: int, warmup_frac: float = 0.5) -> Trace:
         """Emit a trace of ``num_uops`` *measured* micro-ops plus a
         fast-forward warmup prefix of ``warmup_frac * num_uops`` ops
-        (barrier markers included for parallel profiles)."""
+        (barrier markers included for parallel profiles).
+
+        Per op, the random draws are, in order: the op class (plus one
+        FP refinement draw for FP ops), the code address, then by class —
+        memory: source dependence, data address; branch: site, direction,
+        source dependence; other: two source dependences.  A dependence
+        draw is skipped at index 0 and otherwise takes two or three draws.
+        """
         if num_uops < 1:
             raise ValueError("trace length must be positive")
         warmup_ops = int(num_uops * warmup_frac)
-        num_uops = num_uops + warmup_ops
+        total = num_uops + warmup_ops
         profile = self.profile
-        ops: List[MicroOp] = []
+        rng = self._rng
+        random = rng.random
+        randrange = rng.randrange
+        expovariate = rng.expovariate
+
+        # Columns start at the defaults of a ready-operand ALU op, so each
+        # op writes only the fields it sets.
+        op_col = [0] * total
+        src1_col = [0] * total
+        src2_col = [0] * total
+        address_col: List[Optional[int]] = [None] * total
+        pc_col = [0] * total
+        taken_col = [False] * total
+        barrier_col = [-1] * total
+
+        # Op-class thresholds: the same running float sum, in the same
+        # order, as a first-match walk over the profile's fractions.
+        acc = 0.0
+        thresholds = []
+        for frac in (profile.load_frac, profile.store_frac,
+                     profile.branch_frac, profile.fp_frac, profile.mul_frac,
+                     profile.div_frac, profile.complex_frac):
+            acc += frac
+            thresholds.append(acc)
+        (t_load, t_store, t_branch, t_fp, t_mul, t_div,
+         t_complex) = thresholds
+        LOAD = OP_CODE[OpClass.LOAD]
+        STORE = OP_CODE[OpClass.STORE]
+        BRANCH = OP_CODE[OpClass.BRANCH]
+        FP_ADD = OP_CODE[OpClass.FP_ADD]
+        FP_MUL = OP_CODE[OpClass.FP_MUL]
+        FP_DIV = OP_CODE[OpClass.FP_DIV]
+        MUL = OP_CODE[OpClass.MUL]
+        DIV = OP_CODE[OpClass.DIV]
+        COMPLEX = OP_CODE[OpClass.COMPLEX]
+        SYNC = OP_CODE[OpClass.SYNC]
+
+        # Dependences: serial chains or profile-mean producer distances.
+        serial_frac = profile.serial_frac
+        dep_rate = 1.0 / profile.dep_distance_mean
+
+        # Data addresses: shared region, hot set, stream, or pool walk.
+        is_parallel = profile.is_parallel
+        sharing_frac = profile.sharing_frac
+        hot_cut = sharing_frac + profile.hot_frac * (1 - sharing_frac)
+        shared_span = max(64, profile.working_set_bytes // 8)
+        hot_set_bytes = profile.hot_set_bytes
+        stream_frac = profile.stream_frac
+        stride = profile.stride_bytes
+        private_base = self._private_base
+        stream_end = private_base + profile.working_set_bytes
+        stream_ptr = self._stream_ptr
+        pool_lines = self._pool_lines
+        pool_stride = self._pool_stride
+
+        # Code addresses: mostly sequential 32B blocks, 10% jumps.
+        code_bytes = profile.code_bytes
+        code_end = 4096 + code_bytes
+        code_ptr = self._code_ptr
+
+        branch_pcs = self._branch_pcs
+        branch_bias = self._branch_bias
+        sites = len(branch_pcs)
+
         barrier_id = 0
-        next_barrier = profile.barrier_period or 0
+        barrier_period = profile.barrier_period
+        next_barrier = barrier_period or 0
+        barriers = is_parallel and next_barrier
         # Imbalance: threads do slightly different amounts of work between
         # barriers; thread 0 is the reference.
         skew = 1.0 + profile.imbalance * (
-            self._rng.random() - 0.5
-        ) * 2.0 if profile.is_parallel and self._thread else 1.0
+            random() - 0.5
+        ) * 2.0 if is_parallel and self._thread else 1.0
 
-        while len(ops) < num_uops:
-            index = len(ops)
-            if profile.is_parallel and next_barrier and index >= next_barrier:
-                ops.append(MicroOp(op=OpClass.SYNC, barrier=barrier_id))
+        for index in range(total):
+            if barriers and index >= next_barrier:
+                op_col[index] = SYNC
+                barrier_col[index] = barrier_id
                 barrier_id += 1
-                next_barrier = index + max(100, int(profile.barrier_period * skew))
+                next_barrier = index + max(100, int(barrier_period * skew))
                 continue
-            klass = self._op_class()
-            pc = self._code_address()
-            if klass in (OpClass.LOAD, OpClass.STORE):
-                ops.append(
-                    MicroOp(
-                        op=klass,
-                        src1=self._dep(index),
-                        address=self._data_address(),
-                        pc=pc,
-                    )
-                )
-            elif klass is OpClass.BRANCH:
-                site = self._rng.randrange(len(self._branch_pcs))
-                taken = self._rng.random() < self._branch_bias[site]
-                ops.append(
-                    MicroOp(
-                        op=klass,
-                        src1=self._dep(index),
-                        pc=self._branch_pcs[site],
-                        taken=taken,
-                    )
-                )
+            roll = random()
+            if roll < t_load:
+                code = LOAD
+            elif roll < t_store:
+                code = STORE
+            elif roll < t_branch:
+                code = BRANCH
+            elif roll < t_fp:
+                fp_roll = random()
+                if fp_roll < 0.55:
+                    code = FP_ADD
+                elif fp_roll < 0.93:
+                    code = FP_MUL
+                else:
+                    code = FP_DIV
+            elif roll < t_mul:
+                code = MUL
+            elif roll < t_div:
+                code = DIV
+            elif roll < t_complex:
+                code = COMPLEX
             else:
-                ops.append(
-                    MicroOp(
-                        op=klass,
-                        src1=self._dep(index),
-                        src2=self._dep(index),
-                        pc=pc,
-                    )
-                )
+                code = 0  # ALU
+            op_col[index] = code
+            if random() < 0.1:
+                code_ptr = 4096 + (randrange(code_bytes) & ~31)
+            else:
+                code_ptr += 32
+                if code_ptr >= code_end:
+                    code_ptr = 4096
+            memory = code == LOAD or code == STORE
+            if code == BRANCH:
+                site = randrange(sites)
+                if random() < branch_bias[site]:
+                    taken_col[index] = True
+                pc_col[index] = branch_pcs[site]
+            else:
+                pc_col[index] = code_ptr
+            if index:
+                if random() <= 0.55:
+                    if random() < serial_frac:
+                        distance = 1 + int(expovariate(0.5))
+                    else:
+                        distance = 1 + int(expovariate(dep_rate))
+                    src1_col[index] = (distance if distance < index
+                                       else index)
+                if not memory and code != BRANCH and random() <= 0.55:
+                    if random() < serial_frac:
+                        distance = 1 + int(expovariate(0.5))
+                    else:
+                        distance = 1 + int(expovariate(dep_rate))
+                    src2_col[index] = (distance if distance < index
+                                       else index)
+            if memory:
+                roll = random()
+                if is_parallel and roll < sharing_frac:
+                    # Shared region: all threads touch the same lines.
+                    address = SHARED_REGION_BASE + randrange(shared_span)
+                elif roll < hot_cut:
+                    address = private_base + randrange(hot_set_bytes)
+                elif random() < stream_frac:
+                    stream_ptr += stride
+                    if stream_ptr >= stream_end:
+                        stream_ptr = private_base
+                    address = stream_ptr
+                else:
+                    address = private_base + randrange(pool_lines) * pool_stride
+                address_col[index] = address
+        self._stream_ptr = stream_ptr
+        self._code_ptr = code_ptr
         return Trace(
             name=profile.name,
-            ops=ops,
+            columns=TraceColumns(op_col, src1_col, src2_col, address_col,
+                                 pc_col, taken_col, barrier_col),
             warmup_ops=warmup_ops,
             resident_data=self._resident_data(),
             resident_code=self._resident_code(),
@@ -205,28 +244,25 @@ class TraceGenerator:
         pool (capped — for huge working sets only a steady-state LRU
         residue would survive anyway)."""
         profile = self.profile
-        lines = [
-            self._private_base + i * 64
-            for i in range(0, profile.hot_set_bytes, 64)
-        ]
+        base = self._private_base
+        # Hot lines sit at ``64 * i`` for every 64th byte offset ``i`` of
+        # the hot set, i.e. 4 KiB apart.
+        lines = list(range(base, base + 64 * profile.hot_set_bytes,
+                           64 * 64))
         cap = 40000
         step = max(1, self._pool_lines // cap)
-        lines.extend(
-            [self._private_base + i * self._pool_stride
-             for i in range(0, self._pool_lines, step)]
-        )
+        lines.extend(range(base, base + self._pool_lines * self._pool_stride,
+                           step * self._pool_stride))
         if profile.is_parallel and profile.sharing_frac > 0:
             shared_span = max(64, profile.working_set_bytes // 8)
             shared_step = max(64, shared_span // 8192)
-            lines.extend(
-                [SHARED_REGION_BASE + i
-                 for i in range(0, shared_span, shared_step)]
-            )
+            lines.extend(range(SHARED_REGION_BASE,
+                               SHARED_REGION_BASE + shared_span, shared_step))
         return lines
 
     def _resident_code(self) -> List[int]:
         """Checkpoint-warm instruction lines covering the code footprint."""
-        return [4096 + i for i in range(0, self.profile.code_bytes, 32)]
+        return list(range(4096, 4096 + self.profile.code_bytes, 32))
 
 
 def generate_trace(profile: AppProfile, num_uops: int, seed: int = 1234,

@@ -99,7 +99,7 @@ def test_simulate_core_matches_oracle_single():
     expected = run_trace(config, trace)
     replay_trace = _fresh_trace(profile, 1000)
     image = kernel.replay_memory(replay_trace, config)
-    assert simulate_core(replay_trace, config, image) == expected
+    assert simulate_core(replay_trace, [config], image) == [expected]
 
 
 @pytest.mark.parametrize("width", [1, 2, 64, 65, 129])
@@ -188,6 +188,43 @@ def test_parallel_batch_matches_run_parallel(profile_index):
 def test_parallel_batch_rejects_serial_profiles():
     with pytest.raises(ValueError):
         run_parallel_batch(multicore_configs(), spec_profiles()[0], 1000)
+
+
+# ---------------------------------------------------------------------------
+# Columnar traces: the kernel path never builds MicroOp objects
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_path_builds_no_microops(monkeypatch):
+    """Generation, decode, replay, the predictor pass, digests and both
+    batch entry points read the trace columns; only the scalar oracle builds
+    the lazy ``trace.ops`` list."""
+    from repro.uarch.isa import MicroOp
+
+    built = [0]
+    check = MicroOp.__post_init__
+
+    def counting_post_init(self):
+        built[0] += 1
+        check(self)
+
+    monkeypatch.setattr(MicroOp, "__post_init__", counting_post_init)
+    configs = single_core_configs()
+    # A seed no other test uses, so no memoized trace is reused.
+    seed = 4242
+    trace = _fresh_trace(spec_profiles()[3], 900, seed=seed)
+    kernel.decode(trace)
+    kernel.branch_outcomes(trace)
+    kernel.replay_memory(trace, configs[0])
+    trace_digest(trace)
+    run_trace_batch(configs, trace)
+    run_parallel_batch(multicore_configs(), parallel_profiles()[1], 1600,
+                       seed=seed)
+    assert built[0] == 0
+
+    oracle_trace = _fresh_trace(spec_profiles()[3], 900, seed=seed)
+    run_trace(configs[0], oracle_trace)
+    assert built[0] == len(oracle_trace) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Tests for the cache hierarchy, prefetcher and coherence."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.configs import base_config, m3d_het_config
 from repro.uarch.cache import (
     CacheHierarchy,
     CoherenceDirectory,
     SetAssociativeCache,
+    _distribute_tags,
+    _newest_first_tags,
 )
 
 
@@ -121,3 +127,45 @@ class TestCoherence:
         assert directory.invalidations == 1
         core1.data_access(4096)  # now owned locally
         assert directory.transfers == 1
+
+
+# ---------------------------------------------------------------------------
+# NumPy warm state == replaying the resident lines through the LRU
+# ---------------------------------------------------------------------------
+
+#: (size, ways, line) of IL1, DL1, both L2 sizes and L3 (Table 9).
+LEVELS = (
+    (32 * 1024, 4, 32),
+    (32 * 1024, 8, 32),
+    (256 * 1024, 8, 64),
+    (512 * 1024, 8, 64),
+    (2 * 1024 * 1024, 16, 64),
+)
+
+
+@st.composite
+def resident_lines(draw):
+    """A resident-line list with repeats.  Strides that are a multiple of
+    a level's set span pile lines into a few sets, so even short lists
+    overflow a set; long lists overflow a whole level."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(0, 40000))
+    distinct = draw(st.integers(1, 50000))
+    stride = draw(st.sampled_from([4, 32, 64, 96, 4096, 32 * 1024,
+                                   128 * 1024]))
+    base = draw(st.sampled_from([0, 1 << 34, 1 << 40]))
+    return [base + rng.randrange(distinct) * stride for _ in range(count)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=resident_lines(), code=resident_lines())
+def test_numpy_warm_state_matches_lru_replay(data, code):
+    for size, ways, line in LEVELS:
+        for streams in ((data,), (code,), (data, code)):
+            reference = SetAssociativeCache(size, ways, line)
+            for lines in streams:
+                for address in lines:
+                    reference.access(address)
+            warm = _distribute_tags(_newest_first_tags(streams, line),
+                                    reference.sets, ways)
+            assert warm == reference._lines

@@ -1,8 +1,11 @@
 """Tests for application profiles and the trace generator."""
 
+import hashlib
+
 import pytest
 
-from repro.uarch.isa import OpClass, validate_trace
+from repro.golden import trace_digest
+from repro.uarch.isa import MicroOp, OpClass, Trace, validate_trace
 from repro.workloads.generator import TraceGenerator, generate_trace
 from repro.workloads.parallel import parallel_by_name, parallel_profiles
 from repro.workloads.profiles import AppProfile, classify, memory_bound_score
@@ -135,3 +138,72 @@ class TestGenerator:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             TraceGenerator(spec_by_name()["Gcc"]).generate(0)
+
+
+# Whole-suite generator pins: one SHA-256 over the ordered per-trace
+# digests of every SPEC profile (default thread) or every parallel
+# profile at threads 0-7, at 600 measured uops.  Computed with the
+# per-op MicroOp generator that preceded the columnar one, so they pin
+# the random draw sequence across the rewrite.
+SUITE_DIGESTS = {
+    ("spec", 1234):
+        "c7fd8ed64dc6bcdf3ccdd0bb8a934df7b93348c4d0beb839cacd4c4b58f44b69",
+    ("parallel", 1234):
+        "500fbcfd53d7ea8f587af96c3274a63a9cbb600242a073bc30526b9b62a8669f",
+    ("spec", 7):
+        "435abbfd7d1bbc36778c144f7fb795fcd8b2b79bf057bcf5f9bef87f4b6354f2",
+    ("parallel", 7):
+        "220f06c20066ab90258385901378a13b63573945a5850cb9d41858e3145f113c",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(SUITE_DIGESTS),
+                         ids=lambda v: str(v))
+def test_suite_trace_digests_pinned(suite, seed):
+    hasher = hashlib.sha256()
+    if suite == "spec":
+        for profile in spec_profiles():
+            trace = generate_trace(profile, 600, seed=seed)
+            hasher.update(trace_digest(trace).encode())
+    else:
+        for profile in parallel_profiles():
+            for thread in range(8):
+                trace = generate_trace(profile, 600, seed=seed, thread=thread)
+                hasher.update(trace_digest(trace).encode())
+    assert hasher.hexdigest() == SUITE_DIGESTS[(suite, seed)]
+
+
+class TestColumns:
+    def test_ops_and_columns_round_trip(self):
+        trace = generate_trace(parallel_by_name()["Ocean"], 3000, thread=1)
+        rebuilt = Trace(trace.name, ops=trace.ops,
+                        warmup_ops=trace.warmup_ops,
+                        resident_data=trace.resident_data,
+                        resident_code=trace.resident_code)
+        assert len(rebuilt) == len(trace)
+        assert trace_digest(rebuilt) == trace_digest(trace)
+        assert rebuilt.op_mix() == trace.op_mix()
+
+    def test_hand_built_trace_derives_columns(self):
+        ops = [
+            MicroOp(op=OpClass.ALU, pc=4096),
+            MicroOp(op=OpClass.LOAD, src1=1, address=128, pc=4100),
+            MicroOp(op=OpClass.BRANCH, src1=2, pc=4104, taken=True),
+            MicroOp(op=OpClass.SYNC, barrier=0),
+        ]
+        trace = Trace("unit", ops=ops)
+        columns = trace.columns
+        assert columns.src1 == [0, 1, 2, 0]
+        assert columns.address == [None, 128, None, None]
+        assert columns.taken == [False, False, True, False]
+        assert columns.barrier == [-1, -1, -1, 0]
+        assert columns.to_ops() == ops
+        assert trace.op_mix()[OpClass.LOAD] == pytest.approx(0.25)
+
+    def test_ops_built_once(self):
+        trace = generate_trace(spec_by_name()["Gcc"], 400)
+        assert trace.ops is trace.ops
+
+    def test_needs_exactly_one_body(self):
+        with pytest.raises(ValueError):
+            Trace("empty")
