@@ -21,7 +21,8 @@ Sections
 ``kernel``
     Per-config scalar oracle vs :func:`repro.uarch.kernel.run_trace_batch`
     on one shared trace, plus the max CPI divergence vs the oracle
-    (must be 0: the kernel is cycle-exact).
+    (must be 0: the kernel is cycle-exact) and the cache replay path
+    that ran (``native`` unless no C compiler could build the walk).
 ``traces``
     Trace synthesis throughput (``uops_per_s``, warmup included) over
     the 21 SPEC profiles at the quick runner size; ``microops_built``,
@@ -261,7 +262,7 @@ def bench_kernel(uops: int) -> dict:
     """
     from repro.core.configs import single_core_configs
     from repro.uarch import ooo
-    from repro.uarch.kernel import run_trace_batch
+    from repro.uarch.kernel import run_trace_batch, take_replay_path
     from repro.workloads.generator import generate_trace
     from repro.workloads.spec import spec_profiles
 
@@ -274,6 +275,7 @@ def bench_kernel(uops: int) -> dict:
     trace = fresh_trace()
     with timer("kernel.scalar") as scalar_span:
         oracle = [ooo.run_trace(config, trace) for config in configs]
+    take_replay_path()  # forget images timed before this section
     with timer("kernel.batched") as batched_span:
         batched = run_trace_batch(configs, fresh_trace())
 
@@ -292,6 +294,7 @@ def bench_kernel(uops: int) -> dict:
                 - o.cycles / max(1, o.stats.uops))
             for r, o in zip(batched, oracle)
         ),
+        "replay": take_replay_path(),
     }
 
 
@@ -814,7 +817,8 @@ def main() -> None:
           f"batched {record['kernel']['batched_seconds']}s "
           f"({record['kernel']['batched_speedup']}x) at width "
           f"{record['kernel']['batch_width']}, "
-          f"max CPI divergence {record['kernel']['max_cpi_divergence']:.2e}")
+          f"max CPI divergence {record['kernel']['max_cpi_divergence']:.2e}, "
+          f"{record['kernel']['replay']} replay")
 
     print(f"benchmarking trace synthesis (uops={TRACE_BENCH_UOPS}) ...")
     record["traces"] = bench_traces(TRACE_BENCH_UOPS)

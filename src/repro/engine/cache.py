@@ -43,7 +43,8 @@ _FINGERPRINT: Optional[str] = None
 
 
 def code_fingerprint() -> str:
-    """Hex digest over every ``repro`` source file (computed once).
+    """Hex digest over every ``repro`` source file, Python and C
+    (computed once).
 
     Any edit to the models changes the digest, so stale on-disk results
     can never be returned after a code change.
@@ -54,7 +55,7 @@ def code_fingerprint() -> str:
 
         root = Path(repro.__file__).resolve().parent
         digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
+        for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
         _FINGERPRINT = digest.hexdigest()

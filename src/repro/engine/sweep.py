@@ -32,7 +32,8 @@ from repro.engine.cache import ResultCache, make_key
 from repro.lru import LruMemo
 from repro.obs.recorder import current_recorder
 from repro.obs.telemetry import EngineTelemetry
-from repro.uarch.kernel import kernel_enabled, run_trace_batch
+from repro.uarch.kernel import kernel_enabled, run_trace_batch, \
+    take_replay_path
 from repro.uarch.multicore import MulticoreResult, run_parallel, \
     run_parallel_batch
 from repro.uarch.ooo import SimResult, run_trace
@@ -125,10 +126,14 @@ def execute_spec_group(specs: Sequence[SimSpec]):
 
 def _timed_execute_unit(specs: Sequence[SimSpec]):
     """Worker-side wrapper for one work unit (a same-trace spec group):
-    ``(results, seconds, used_kernel)``."""
+    ``(results, seconds, used_kernel, replay)``, ``replay`` being the
+    cache replay behind the images the kernel timed (``"none"`` for a
+    scalar group)."""
+    take_replay_path()  # forget images timed before this unit
     start = time.perf_counter()
     results, used_kernel = execute_spec_group(specs)
-    return results, time.perf_counter() - start, used_kernel
+    return (results, time.perf_counter() - start, used_kernel,
+            take_replay_path())
 
 
 def suite_specs(mode: str, uops: int, seed: int,
@@ -377,7 +382,7 @@ class ExperimentEngine:
         telemetry = self.telemetry
         durations: Dict[int, float] = {}
         for indices, outcome in zip(unit_indices, timed):
-            fresh, seconds, used_kernel = outcome
+            fresh, seconds, used_kernel, replay = outcome
             first = specs[indices[0]]
             share = seconds / len(indices)
             for index, value in zip(indices, fresh):
@@ -392,6 +397,7 @@ class ExperimentEngine:
                 width=len(indices),
                 seconds=seconds,
                 used_kernel=used_kernel,
+                replay=replay,
             )
         telemetry.record_batch(
             specs=len(specs),

@@ -25,7 +25,7 @@ import hashlib
 import math
 from typing import Any
 
-from repro.uarch.isa import OP_ORDER
+from repro.uarch.isa import OP_ORDER, resident_list
 
 #: Tag key marking a non-finite float in canonical form.
 NONFINITE_KEY = "__nonfinite__"
@@ -101,6 +101,7 @@ def trace_digest(trace) -> str:
             columns.pc, columns.taken, columns.barrier):
         update(repr((values[code], src1 or None, src2 or None, address, pc,
                      taken, barrier)).encode())
-    hasher.update(repr((trace.name, trace.warmup_ops, trace.resident_data,
-                        trace.resident_code)).encode())
+    hasher.update(repr((trace.name, trace.warmup_ops,
+                        resident_list(trace.resident_data),
+                        resident_list(trace.resident_code))).encode())
     return hasher.hexdigest()

@@ -64,7 +64,9 @@ from repro.obs.recorder import TimerSpan, current_recorder
 #: v9 dropped the v4 kernel-path and shared-memory telemetry (per-batch
 #: ``path`` / ``shm``, the vectorized/scalar/mixed/shm group counts):
 #: every kernel group now runs through the one generated timing loop.
-MANIFEST_SCHEMA_VERSION = "repro-manifest-v9"
+#: v10 added the cache replay path (``replay``: ``native`` /
+#: ``reference`` / ``none``) to the kernel summary and every kernel batch.
+MANIFEST_SCHEMA_VERSION = "repro-manifest-v10"
 
 
 class ManifestError(ValueError):
@@ -200,12 +202,14 @@ _KERNEL_SUMMARY_FIELDS = {
     "singleton_specs": int,
     "max_width": int,
     "seconds": (int, float),
+    "replay": str,
 }
 _KERNEL_BATCH_FIELDS = {
     "mode": str,
     "width": int,
     "seconds": (int, float),
     "used_kernel": bool,
+    "replay": str,
 }
 _VALIDATION_FIELDS = {
     "schema": str,

@@ -90,12 +90,16 @@ class KernelBatchRecord:
 
     ``used_kernel`` is False when the group fell back to the scalar
     oracle — singleton groups (nothing to batch) or ``$REPRO_KERNEL=0``.
+    ``replay`` is the cache replay the kernel ran, ``"native"`` or
+    ``"reference"`` (see :mod:`repro.uarch.native`), and ``"none"`` for
+    a scalar group.
     """
 
     mode: str
     width: int
     seconds: float
     used_kernel: bool
+    replay: str = "none"
 
     def as_record(self) -> Dict[str, object]:
         return {
@@ -103,6 +107,7 @@ class KernelBatchRecord:
             "width": self.width,
             "seconds": round(self.seconds, 6),
             "used_kernel": self.used_kernel,
+            "replay": self.replay,
         }
 
 
@@ -137,9 +142,9 @@ class EngineTelemetry:
         self.batches.append(BatchRecord(specs, hits, misses, seconds, workers))
 
     def record_kernel_batch(self, mode: str, width: int, seconds: float,
-                            used_kernel: bool) -> None:
+                            used_kernel: bool, replay: str = "none") -> None:
         self.kernel_batches.append(
-            KernelBatchRecord(mode, width, seconds, used_kernel)
+            KernelBatchRecord(mode, width, seconds, used_kernel, replay)
         )
 
     def kernel_summary(self) -> Dict[str, object]:
@@ -148,7 +153,10 @@ class EngineTelemetry:
 
         ``fallback_specs`` counts only specs in groups wide enough to
         batch (width >= 2) that ran scalar anyway — singletons have
-        nothing to batch and are reported separately."""
+        nothing to batch and are reported separately.  ``replay`` is
+        ``"reference"`` when any kernel group replayed without the
+        compiled walk, else ``"native"`` when any replayed at all, else
+        ``"none"``."""
         batched = fallback = singleton = 0
         max_width = 0
         seconds = 0.0
@@ -168,6 +176,11 @@ class EngineTelemetry:
             "singleton_specs": singleton,
             "max_width": max_width,
             "seconds": round(seconds, 6),
+            "replay": next(
+                (path for path in ("reference", "native")
+                 if any(r.replay == path for r in self.kernel_batches)),
+                "none",
+            ),
         }
 
     def record_spec(self, key: str, mode: str, config: str, profile: str,

@@ -10,18 +10,26 @@ the effect the paper notes in Section 7.1.1.
 For multicores, an optional coherence layer tracks which core last wrote a
 line; a read of a remote-dirty line costs an extra NoC round trip
 (MESI-style cache-to-cache transfer).
+
+Checkpoint-warm state has one builder, :func:`warm_state`: NumPy turns
+the resident sets (in :func:`~repro.uarch.isa.resident_parts` form:
+tuples of ``range``s from the generator) into each level's flat LRU
+state -- ``tags`` of
+``sets * ways`` slots plus ``counts`` of ``sets`` fills -- memoized per
+geometry and resident sets.  The batched kernel's compiled replay walk
+reads those arrays directly; :meth:`CacheHierarchy.preload` slices its
+per-set lists from them.
 """
 
 from __future__ import annotations
 
-import hashlib
-from array import array
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.configs import CoreConfig
+from repro.lru import LruMemo
+from repro.uarch.isa import resident_list, resident_parts
 
 
 #: Lines fetched ahead by the L2 stream prefetcher on each L2 miss.
@@ -82,23 +90,31 @@ class AccessResult:
         return f"AccessResult(latency={self.latency}, level={self.level!r})"
 
 
-#: Memo of post-preload cache states, keyed by the resident-line content
-#: and the (only varying) L2 geometry.  Re-warming the hierarchy for every
-#: configuration sweeping the same trace costs more than the simulation
-#: itself; restoring a snapshot is ~60x cheaper than replaying the lines.
-_PRELOAD_SNAPSHOTS: "OrderedDict[tuple, Tuple[List[List[int]], ...]]" = (
-    OrderedDict()
-)
-_PRELOAD_SNAPSHOT_CAP = 256
+def level_geometry(shared_l2: bool) -> Tuple[Tuple[int, int, int], ...]:
+    """``(size_bytes, ways, line_bytes)`` of IL1, DL1, L2 and L3.
+
+    Figure 4: folded core pairs share their two L2s, doubling the
+    capacity visible to each core -- the only geometry knob.
+    """
+    l2_bytes = 512 * 1024 if shared_l2 else 256 * 1024
+    return ((32 * 1024, 4, 32), (32 * 1024, 8, 32), (l2_bytes, 8, 64),
+            (2 * 1024 * 1024, 16, 64))
 
 
-def _lines_digest(lines: List[int]) -> bytes:
-    """Content digest of a resident-line list (order matters for LRU)."""
-    return hashlib.blake2b(array("q", lines).tobytes(), digest_size=16).digest()
+def _resident_array(parts) -> np.ndarray:
+    """A resident set (:func:`~repro.uarch.isa.resident_parts` form) as
+    one int64 array; ``range`` parts become ``np.arange`` without a
+    Python list in between."""
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        np.arange(part.start, part.stop, part.step, dtype=np.int64)
+        if isinstance(part, range) else np.asarray(part, dtype=np.int64)
+        for part in parts
+    ])
 
 
 def _newest_first_tags(streams, line_bytes: int) -> np.ndarray:
-    """Distinct tags of ``streams`` in *reverse* last-access order.
+    """Distinct tags of the address arrays ``streams`` in *reverse*
+    last-access order.
 
     In an access-only sequence each set ends up holding its tags in
     last-access order, truncated to ``ways`` — evictions cannot change
@@ -110,35 +126,106 @@ def _newest_first_tags(streams, line_bytes: int) -> np.ndarray:
     access; ``np.unique`` finds those positions, and sorting them gives
     the newest-first order.
     """
-    tags = np.concatenate(
-        [np.asarray(lines, dtype=np.int64) for lines in streams]
-    ) // line_bytes
-    reversed_tags = tags[::-1]
+    reversed_tags = (np.concatenate(streams) // line_bytes)[::-1]
     _, first = np.unique(reversed_tags, return_index=True)
     return reversed_tags[np.sort(first)]
 
 
-def _distribute_tags(newest_first: np.ndarray, sets: int,
-                     ways: int) -> List[List[int]]:
-    """Per-set LRU lists (LRU-first) from a newest-first tag order: each
-    set keeps its ``ways`` newest tags.
+def _warm_slots(newest_first: np.ndarray, sets: int,
+                ways: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One level's flat LRU state from a newest-first tag order: each
+    set keeps its ``ways`` newest tags, LRU-first in its ``ways`` slots.
 
     A stable sort by set index keeps the newest-first order inside each
-    set; a tag's rank within its set decides whether it survives.  Read
-    backwards, the survivors run from the last set to the first, each
-    set oldest-first — the order its LRU list holds them in.
+    set; a tag's rank within its set (0 = newest) decides whether it
+    survives and, counted back from the set's fill, which slot it takes.
     """
     set_index = newest_first % sets
     order = np.argsort(set_index, kind="stable")
-    counts = np.bincount(set_index, minlength=sets)
-    starts = np.cumsum(counts) - counts
-    rank = np.arange(len(order)) - starts[set_index[order]]
-    kept = order[rank < ways]
-    tags = newest_first[kept[::-1]].tolist()
-    ends = np.cumsum(np.minimum(counts, ways)[::-1]).tolist()
-    lines = [tags[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
-    lines.reverse()
-    return lines
+    in_set = set_index[order]
+    totals = np.bincount(set_index, minlength=sets)
+    rank = np.arange(len(order)) - (np.cumsum(totals) - totals)[in_set]
+    kept = rank < ways
+    counts = np.minimum(totals, ways)
+    kept_sets = in_set[kept]
+    tags = np.zeros(sets * ways, dtype=np.int64)
+    tags[kept_sets * ways + counts[kept_sets] - 1 - rank[kept]] = (
+        newest_first[order[kept]]
+    )
+    return tags, counts.astype(np.int32)
+
+
+class WarmState:
+    """Flat post-preload LRU state of IL1, DL1, L2 and L3.
+
+    ``geometry[k]`` is ``(sets, ways, line_bytes, tag_offset,
+    count_offset)`` for level ``k`` (:func:`level_geometry` order).  Set
+    ``s`` of that level owns the ``ways`` slots of ``tags`` from
+    ``tag_offset + s * ways``, residents LRU-first, and
+    ``counts[count_offset + s]`` of them are filled — the layout the
+    native replay walk reads.  Instances are memoized and shared: copy
+    the arrays before mutating them.
+    """
+
+    __slots__ = ("geometry", "tags", "counts")
+
+    def __init__(self, shared_l2: bool, data_parts, code_parts) -> None:
+        data = _resident_array(data_parts)
+        code = _resident_array(code_parts)
+        levels = level_geometry(shared_l2)
+        l2_line, l3_line = levels[2][2], levels[3][2]
+        # L2 and L3 see the same streams; at the same line size they
+        # share one recency pass.
+        l2_order = _newest_first_tags((data, code), l2_line)
+        orders = (
+            _newest_first_tags((code,), levels[0][2]),
+            _newest_first_tags((data,), levels[1][2]),
+            l2_order,
+            l2_order if l3_line == l2_line
+            else _newest_first_tags((data, code), l3_line),
+        )
+        geometry = []
+        tags: List[np.ndarray] = []
+        counts: List[np.ndarray] = []
+        tag_at = count_at = 0
+        for (size, ways, line), order in zip(levels, orders):
+            sets = size // (ways * line)
+            level_tags, level_counts = _warm_slots(order, sets, ways)
+            geometry.append((sets, ways, line, tag_at, count_at))
+            tags.append(level_tags)
+            counts.append(level_counts)
+            tag_at += sets * ways
+            count_at += sets
+        self.geometry = tuple(geometry)
+        self.tags = np.concatenate(tags)
+        self.counts = np.concatenate(counts)
+
+    def lines(self, level: int) -> List[List[int]]:
+        """Level ``level``'s per-set LRU lists (LRU-first, fresh lists)."""
+        sets, ways, _, tag_at, count_at = self.geometry[level]
+        rows = self.tags[tag_at:tag_at + sets * ways].reshape(sets, ways)
+        fill = self.counts[count_at:count_at + sets].tolist()
+        return [row[:count] for row, count in zip(rows.tolist(), fill)]
+
+
+#: Warm states keyed by (``shared_l2``, data set, code set).  Generator
+#: resident sets are tuples of ``range``s, so the key hashes a few ranges,
+#: not the lines.
+_WARM_STATES = LruMemo(cap=64)
+
+
+def warm_state(shared_l2: bool, data_parts, code_parts) -> WarmState:
+    """The (memoized) warm state a fresh hierarchy of geometry
+    ``shared_l2`` holds after :meth:`CacheHierarchy.preload` of resident
+    sets in :func:`~repro.uarch.isa.resident_parts` form.
+
+    Exact: each level is built from the streams' last-access order
+    (:func:`_newest_first_tags`) instead of replaying every access.
+    """
+    return _WARM_STATES.get(
+        (shared_l2, data_parts, code_parts),
+        lambda: WarmState(shared_l2, data_parts, code_parts),
+    )
 
 
 class CacheHierarchy:
@@ -148,13 +235,11 @@ class CacheHierarchy:
                  coherence: Optional["CoherenceDirectory"] = None) -> None:
         self.config = config
         self.core_id = core_id
-        self.il1 = SetAssociativeCache(32 * 1024, 4, 32, "IL1")
-        self.dl1 = SetAssociativeCache(32 * 1024, 8, 32, "DL1")
-        # Figure 4: folded core pairs share their two L2s, doubling the
-        # capacity visible to each core.
-        l2_bytes = 512 * 1024 if config.shared_l2 else 256 * 1024
-        self.l2 = SetAssociativeCache(l2_bytes, 8, 64, "L2")
-        self.l3 = SetAssociativeCache(2 * 1024 * 1024, 16, 64, "L3")
+        self.il1, self.dl1, self.l2, self.l3 = (
+            SetAssociativeCache(size, ways, line, name)
+            for name, (size, ways, line) in zip(
+                ("IL1", "DL1", "L2", "L3"), level_geometry(config.shared_l2))
+        )
         self.coherence = coherence
         self._never_preloaded = True
 
@@ -165,75 +250,34 @@ class CacheHierarchy:
         than a level, only the most recently inserted capacity-worth stays,
         exactly as steady-state LRU would leave it.  Data goes in first and
         code last — the instruction stream is re-touched constantly, so at
-        steady state it is the most recently used resident.
+        steady state it is the most recently used resident.  Either set
+        may be any int sequence or already in
+        :func:`~repro.uarch.isa.resident_parts` form.
         """
+        data_parts = resident_parts(data_lines)
+        code_parts = resident_parts(code_lines)
         levels = (self.il1, self.dl1, self.l2, self.l3)
-        # Warming is a pure function of the resident lines and the cache
-        # geometry; snapshot the resulting LRU state and restore it for
-        # every later hierarchy warming the same trace.  Only safe when
-        # this hierarchy is still untouched.
-        pristine = self._never_preloaded and not any(
-            cache.accesses for cache in levels
-        )
-        self._never_preloaded = False
-        key = None
-        if pristine:
-            key = (
-                self.l2.sets,
-                _lines_digest(data_lines),
-                _lines_digest(code_lines),
-            )
-            snapshot = _PRELOAD_SNAPSHOTS.get(key)
-            if snapshot is not None:
-                _PRELOAD_SNAPSHOTS.move_to_end(key)
-                for cache, lines in zip(levels, snapshot):
-                    cache._lines = [list(line) for line in lines]
-                    cache.accesses = 0
-                    cache.misses = 0
-                return
-        if pristine:
-            # Untouched hierarchy: build each level's warm LRU state
-            # directly from the streams' last-access order (exact — see
-            # :func:`_newest_first_tags`) instead of replaying every
-            # access.  L2 and L3 see the same streams at the same line
-            # size, so they share one recency pass.
-            shared = _newest_first_tags(
-                (data_lines, code_lines), self.l2.line_bytes
-            )
-            l3_tags = (shared if self.l3.line_bytes == self.l2.line_bytes
-                       else _newest_first_tags((data_lines, code_lines),
-                                               self.l3.line_bytes))
-            for cache, newest_first in (
-                (self.il1, _newest_first_tags((code_lines,),
-                                              self.il1.line_bytes)),
-                (self.dl1, _newest_first_tags((data_lines,),
-                                              self.dl1.line_bytes)),
-                (self.l2, shared),
-                (self.l3, l3_tags),
-            ):
-                cache._lines = _distribute_tags(
-                    newest_first, cache.sets, cache.ways
-                )
+        if self._never_preloaded and not any(c.accesses for c in levels):
+            # Untouched hierarchy: slice each level's lists from the
+            # shared warm state instead of replaying every access.
+            state = warm_state(self.config.shared_l2, data_parts, code_parts)
+            for level, cache in enumerate(levels):
+                cache._lines = state.lines(level)
         else:
             # Already-warm hierarchy: layer the residents on top of the
             # existing state through the ordinary access path.
-            for address in data_lines:
+            for address in resident_list(data_parts):
                 self.dl1.access(address)
                 self.l2.access(address)
                 self.l3.access(address)
-            for address in code_lines:
+            for address in resident_list(code_parts):
                 self.il1.access(address)
                 self.l2.access(address)
                 self.l3.access(address)
+        self._never_preloaded = False
         for cache in levels:
             cache.accesses = 0
             cache.misses = 0
-        if key is not None:
-            _PRELOAD_SNAPSHOTS[key] = tuple(
-                [list(line) for line in cache._lines] for cache in levels
-            )
-            if len(_PRELOAD_SNAPSHOTS) > _PRELOAD_SNAPSHOT_CAP:
-                _PRELOAD_SNAPSHOTS.popitem(last=False)
 
     def fetch(self, address: int) -> AccessResult:
         """Instruction fetch access."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class OpClass(enum.Enum):
@@ -156,6 +156,29 @@ class TraceColumns:
         ]
 
 
+def resident_parts(lines: Optional[Sequence]) -> Tuple[Sequence[int], ...]:
+    """A resident set in its one stored form: a tuple of parts --
+    ``range``s or tuples of ints -- read back to back.
+
+    A resident set lists the line addresses warm in a hierarchy before a
+    trace runs, in residency order.  The generator's sets are already
+    tuples of ``range``s and are kept as they are (never expanded into
+    lists); any other int sequence becomes a single part.
+    """
+    if lines is None or len(lines) == 0:
+        return ()
+    if isinstance(lines, tuple) and all(
+            isinstance(part, (range, tuple)) for part in lines):
+        return lines
+    return (lines if isinstance(lines, range) else tuple(lines),)
+
+
+def resident_list(parts: Tuple[Sequence[int], ...]) -> List[int]:
+    """A resident set (:func:`resident_parts` form) as one flat list of
+    line addresses."""
+    return [line for part in parts for line in part]
+
+
 class Trace:
     """A finished instruction trace plus its identity.
 
@@ -170,17 +193,18 @@ class Trace:
 
     def __init__(self, name: str, ops: Optional[Sequence[MicroOp]] = None,
                  warmup_ops: int = 0,
-                 resident_data: Optional[List[int]] = None,
-                 resident_code: Optional[List[int]] = None,
+                 resident_data: Optional[Sequence] = None,
+                 resident_code: Optional[Sequence] = None,
                  columns: Optional[TraceColumns] = None) -> None:
         if (ops is None) == (columns is None):
             raise ValueError("a trace needs exactly one of ops or columns")
         self.name = name
         self.warmup_ops = warmup_ops
         #: Checkpoint-style warm state: line addresses resident in the
-        #: data / instruction hierarchy at the start of the measured region.
-        self.resident_data = resident_data if resident_data is not None else []
-        self.resident_code = resident_code if resident_code is not None else []
+        #: data / instruction hierarchy before the trace runs, in
+        #: :func:`resident_parts` form.
+        self.resident_data = resident_parts(resident_data)
+        self.resident_code = resident_parts(resident_code)
         self._ops = list(ops) if ops is not None else None
         self._columns = columns
 

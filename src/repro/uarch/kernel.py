@@ -18,8 +18,11 @@ This kernel factors the three apart.  A trace's measured region is
 decoded **once** into flat arrays by slicing its columns
 (:class:`~repro.uarch.isa.TraceColumns`: op codes, producer distances,
 plus derived FU latencies); the predictor and cache hierarchy are
-replayed **once per cache geometry** by walking the columns into
-per-access level/outcome arrays; and the timing recurrences then
+replayed **once per cache geometry** into per-access level/outcome
+arrays -- the caches by one call into a compiled LRU walk
+(:mod:`repro.uarch.native`) over flat NumPy warm state, falling back to
+the reference :class:`~repro.uarch.cache.CacheHierarchy` when no C
+compiler can build it; and the timing recurrences then
 run in one generated loop, unrolled across the configurations of a batch
 (see :func:`_loop_source`).  The loop is compiled once per batch width —
 the per-config constants are arguments, not literals — and a batch wider
@@ -39,17 +42,20 @@ same oracle pattern as the thermal solver's reference path).
 from __future__ import annotations
 
 import os
+import threading
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.configs import CoreConfig
+from repro.uarch import native
 from repro.uarch import ooo as _ooo
 from repro.uarch.bpred import TournamentPredictor
 from repro.uarch.cache import (
     PREFETCH_DEGREE,
     CacheHierarchy,
     CoherenceDirectory,
+    warm_state,
 )
 from repro.uarch.isa import (
     FP_DIV_ISSUE_INTERVAL,
@@ -154,19 +160,22 @@ class MemoryImage:
     configuration only through ``shared_l2`` (the sole geometry knob in
     :class:`CacheHierarchy`); per-level *latencies* are pure config
     lookups applied afterwards.  The coherence ``remote`` flags depend
-    on the access order alone.
+    on the access order alone.  ``replay`` names the cache walk that
+    produced the image: ``"native"`` (the compiled walk) or
+    ``"reference"`` (:class:`CacheHierarchy`).
     """
 
     __slots__ = ("fetch_levels", "load_levels", "load_remote", "any_remote",
-                 "mem_level_counts")
+                 "mem_level_counts", "replay")
 
     def __init__(self, fetch_levels, load_levels, load_remote,
-                 mem_level_counts) -> None:
+                 mem_level_counts, replay: str) -> None:
         self.fetch_levels = np.asarray(fetch_levels, dtype=np.int64)
         self.load_levels = np.asarray(load_levels, dtype=np.int64)
         self.load_remote = np.asarray(load_remote, dtype=np.int64)
-        self.any_remote = bool(self.load_remote.any()) if load_remote else False
+        self.any_remote = bool(self.load_remote.any())
         self.mem_level_counts = mem_level_counts
+        self.replay = replay
 
 
 def _kernel_state(trace: Trace) -> dict:
@@ -214,42 +223,122 @@ def branch_outcomes(trace: Trace) -> List[bool]:
     return corrects
 
 
-def _level_walker(cache):
-    """Hit/miss-only access closure over one cache level's raw tag lists.
+class _TimedReplays(threading.local):
+    """Per thread: the ``replay`` of every image timed since the last
+    :func:`take_replay_path`."""
 
-    Replay needs the serving *level*; latencies are per-config lookups
-    applied later.  Walking the per-set lists directly skips the
-    ``AccessResult`` allocation and hit/miss bookkeeping of
-    :meth:`SetAssociativeCache.access` — the hierarchy is replay-private,
-    so its counters are never read.  Build walkers only *after*
-    ``preload`` (which may swap the ``_lines`` object wholesale).
-    """
-    lines = cache._lines
-    sets = cache.sets
-    ways = cache.ways
-    line_bytes = cache.line_bytes
+    def __init__(self) -> None:
+        self.paths = set()
 
-    def walk(address: int) -> bool:
-        tag = address // line_bytes
-        line = lines[tag % sets]
-        if tag in line:
-            line.remove(tag)
-            line.append(tag)
-            return True
-        line.append(tag)
-        if len(line) > ways:
-            line.pop(0)
-        return False
 
-    return walk
+_TIMED_REPLAYS = _TimedReplays()
+
+
+def take_replay_path() -> str:
+    """Which cache replay produced the images this thread timed since the
+    last call (the record then starts afresh): ``"reference"`` if any
+    came from the reference walk -- no compiled library, or a trace
+    outside its address range -- else ``"native"`` if any were timed,
+    else ``"none"``."""
+    paths = _TIMED_REPLAYS.paths
+    _TIMED_REPLAYS.paths = set()
+    return next((path for path in ("reference", "native") if path in paths),
+                "none")
+
+
+def _replay_columns(trace: Trace) -> dict:
+    """The replay's view of the trace columns, converted once and
+    memoized on the trace: int8 op codes, int64 PCs, the positions and
+    int64 addresses of the loads and stores, and whether every address
+    and PC suits the native walk (non-negative, where C's truncating
+    ``/`` and ``%`` agree with Python's floor ones, and far from int64
+    overflow)."""
+    state = _kernel_state(trace)
+    view = state.get("replay")
+    if view is None:
+        columns = trace.columns
+        codes = np.asarray(columns.op, dtype=np.int8)
+        positions = np.flatnonzero((codes == _LOAD) | (codes == _STORE))
+        addresses = [columns.address[i] for i in positions.tolist()]
+        view = {"codes": codes, "positions": positions,
+                "addresses": addresses, "in_range": False}
+        try:
+            pcs = np.asarray(columns.pc, dtype=np.int64)
+            mem = np.asarray(addresses, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            view.update(pcs=pcs, mem=mem, in_range=all(
+                not len(values) or (values.min() >= 0
+                                    and values.max() < 2 ** 62)
+                for values in (pcs, mem)
+            ))
+        state["replay"] = view
+    return view
+
+
+def _native_levels(library, trace: Trace, view: dict, shared_l2: bool):
+    """Level codes of every fetch block and every load/store, warmup
+    included, from one call into the compiled walk over a copy of the
+    memoized warm state."""
+    warm = warm_state(shared_l2, trace.resident_data, trace.resident_code)
+    n = len(view["codes"])
+    warmup = min(trace.warmup_ops, n)
+    fetch = np.empty(_blocks(warmup) + _blocks(n - warmup), dtype=np.int8)
+    mem = np.empty(len(view["positions"]), dtype=np.int8)
+    library.replay(
+        warm.tags.copy(), warm.counts.copy(),
+        np.asarray(warm.geometry, dtype=np.int64).ravel(),
+        view["codes"], view["pcs"], view["mem"], n, warmup,
+        FETCH_BLOCK_UOPS, PREFETCH_DEGREE, _LOAD, _STORE, fetch, mem,
+    )
+    return fetch, mem
+
+
+def _reference_levels(trace: Trace, donor_config: CoreConfig):
+    """The same level codes through the oracle's own
+    :meth:`CacheHierarchy.fetch` / :meth:`~CacheHierarchy.data_access`
+    (the path when the compiled walk is unavailable)."""
+    caches = CacheHierarchy(donor_config)
+    if trace.resident_data or trace.resident_code:
+        caches.preload(trace.resident_data, trace.resident_code)
+    code_of = {level: code for code, level in enumerate(_LEVELS)}
+    columns = trace.columns
+    addresses = columns.address
+    pcs = columns.pc
+    warmup = trace.warmup_ops
+    fetch: List[int] = []
+    mem: List[int] = []
+    for i, code in enumerate(columns.op):
+        index = i if i < warmup else i - warmup
+        if index % FETCH_BLOCK_UOPS == 0:
+            pc = pcs[i]
+            fetch.append(code_of[caches.fetch(pc if pc else index * 4).level])
+        if code == _LOAD or code == _STORE:
+            access = caches.data_access(addresses[i], is_store=code == _STORE)
+            mem.append(code_of[access.level])
+    return np.array(fetch, dtype=np.int8), np.array(mem, dtype=np.int8)
+
+
+def _blocks(ops: int) -> int:
+    """Fetch blocks in a run of ``ops`` µops."""
+    return (ops + FETCH_BLOCK_UOPS - 1) // FETCH_BLOCK_UOPS
 
 
 def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
                   coherence: Optional[CoherenceDirectory] = None,
                   noc_penalty: int = 0) -> MemoryImage:
-    """Replay preload + warmup + measured accesses through the real
-    cache hierarchy (and coherence directory, when given), recording the
+    """Replay preload + warmup + measured accesses through the cache
+    hierarchy (and coherence directory, when given), recording the
     level that served each instruction block and each load.
+
+    The caches are walked by the compiled walk (:mod:`repro.uarch.native`)
+    over a copy of the memoized flat warm state, or -- when it cannot be
+    built -- by the reference :class:`CacheHierarchy`.  Coherence is a
+    separate pass over the loads and stores in program order, warmup
+    included: the directory never reads or changes cache contents, so
+    the split is exact, and a multicore caller still runs its cores in
+    order through one directory.
 
     The donor config only contributes its cache *geometry*
     (``shared_l2``); single-core images are memoized on the trace per
@@ -262,94 +351,34 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
         image = images.get(donor_config.shared_l2)
         if image is not None:
             return image
-    caches = CacheHierarchy(donor_config, core_id, None)
-    if trace.resident_data or trace.resident_code:
-        caches.preload(trace.resident_data, trace.resident_code)
-    columns = trace.columns
-    codes = columns.op
-    addresses = columns.address
-    pcs = columns.pc
+    view = _replay_columns(trace)
+    library = native.replay_library() if view["in_range"] else None
+    if library is not None:
+        fetch, mem = _native_levels(library, trace, view,
+                                    donor_config.shared_l2)
+    else:
+        fetch, mem = _reference_levels(trace, donor_config)
+    codes = view["codes"]
+    positions = view["positions"]
     warmup = trace.warmup_ops
-    il1 = _level_walker(caches.il1)
-    dl1 = _level_walker(caches.dl1)
-    l2 = _level_walker(caches.l2)
-    l3 = _level_walker(caches.l3)
-    l2_line = caches.l2.line_bytes
-    prefetch_spans = tuple(
-        ahead * l2_line for ahead in range(1, PREFETCH_DEGREE + 1)
+    measured = positions >= warmup
+    loads = codes[positions] == _LOAD
+    load_levels = mem[measured & loads]
+    if single:
+        load_remote = np.zeros(len(load_levels), dtype=np.int64)
+    else:
+        account = coherence.account
+        extras = np.array([
+            account(core_id, address, not is_load, noc_penalty)
+            for address, is_load in zip(view["addresses"], loads.tolist())
+        ], dtype=np.int64)
+        load_remote = (extras[measured & loads] != 0).astype(np.int64)
+    counts = np.bincount(load_levels, minlength=len(_LEVELS)).tolist()
+    image = MemoryImage(
+        fetch[_blocks(min(warmup, len(codes))):], load_levels, load_remote,
+        {level: count for level, count in zip(_LEVELS, counts) if count},
+        "reference" if library is None else "native",
     )
-    account = coherence.account if coherence is not None else None
-
-    def fetch_code(address: int) -> int:
-        """Level code of an instruction fetch (IL1 -> L2 -> L3 -> DRAM)."""
-        if il1(address):
-            return 0
-        if l2(address):
-            return 1
-        if l3(address):
-            return 2
-        return 3
-
-    def data_code(address: int) -> int:
-        """Level code of a data access, including the L2-miss stream
-        prefetch touches, in :meth:`CacheHierarchy.data_access` order."""
-        if dl1(address):
-            return 0
-        if l2(address):
-            return 1
-        for span in prefetch_spans:
-            next_line = address + span
-            l2(next_line)
-            l3(next_line)
-        if l3(address):
-            return 2
-        return 3
-
-    # Warmup replay, cache (and coherence) side only: the oracle's
-    # ``warmup`` touches the predictor too, but the two systems never
-    # interact, so the split replay is exact.  The directory account runs
-    # *before* the cache lookup, matching ``CacheHierarchy.data_access``.
-    for i in range(warmup):
-        if i % FETCH_BLOCK_UOPS == 0:
-            pc = pcs[i]
-            fetch_code(pc if pc else i * 4)
-        code = codes[i]
-        if code == _LOAD or code == _STORE:
-            address = addresses[i]
-            if account is not None:
-                account(core_id, address, code == _STORE, noc_penalty)
-            data_code(address)
-    fetch_levels: List[int] = []
-    load_levels: List[int] = []
-    load_remote: List[int] = []
-    code_counts = [0, 0, 0, 0]
-    for i in range(warmup, len(codes)):
-        measured_index = i - warmup
-        if measured_index % FETCH_BLOCK_UOPS == 0:
-            pc = pcs[i]
-            fetch_levels.append(
-                fetch_code(pc if pc else measured_index * 4)
-            )
-        code = codes[i]
-        if code == _LOAD:
-            address = addresses[i]
-            extra = 0
-            if account is not None:
-                extra = account(core_id, address, False, noc_penalty)
-            level = data_code(address)
-            code_counts[level] += 1
-            load_levels.append(level)
-            load_remote.append(1 if extra else 0)
-        elif code == _STORE:
-            address = addresses[i]
-            if account is not None:
-                account(core_id, address, True, noc_penalty)
-            data_code(address)
-    counts = {
-        level: count
-        for level, count in zip(_LEVELS, code_counts) if count
-    }
-    image = MemoryImage(fetch_levels, load_levels, load_remote, counts)
     if single:
         images[donor_config.shared_l2] = image
     return image
@@ -691,6 +720,7 @@ def _time_merged(trace: Trace, arrays: TraceArrays,
                  noc_penalty: int = 0) -> List[SimResult]:
     """Time every config against one replay image, in generated-loop
     chunks of at most :data:`MAX_BATCH_WIDTH` configs."""
+    _TIMED_REPLAYS.paths.add(image.replay)
     results: List[SimResult] = []
     for lo in range(0, len(configs), MAX_BATCH_WIDTH):
         chunk = configs[lo:lo + MAX_BATCH_WIDTH]
@@ -767,5 +797,6 @@ __all__ = [
     "replay_memory",
     "run_trace_batch",
     "simulate_core",
+    "take_replay_path",
     "vector_min_width",
 ]

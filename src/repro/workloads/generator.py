@@ -7,7 +7,9 @@ Addresses and branches are *raw material*: the simulator's caches and
 predictor decide what hits and what mispredicts.
 
 The trace is written straight into :class:`~repro.uarch.isa.TraceColumns`
-by one loop; no :class:`~repro.uarch.isa.MicroOp` is built here.
+by one loop; no :class:`~repro.uarch.isa.MicroOp` is built here.  The
+checkpoint-warm resident sets are arithmetic progressions and stay
+tuples of ``range``s all the way to the cache warm-state builder.
 
 Generation is fully deterministic per ``(profile, seed, thread)`` so that
 benchmark runs are reproducible.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.uarch.isa import OP_CODE, OpClass, Trace, TraceColumns
 from repro.workloads.profiles import AppProfile
@@ -239,30 +241,29 @@ class TraceGenerator:
             resident_code=self._resident_code(),
         )
 
-    def _resident_data(self) -> List[int]:
+    def _resident_data(self) -> Tuple[range, ...]:
         """Checkpoint-warm data lines: the hot set plus the working-set
         pool (capped — for huge working sets only a steady-state LRU
-        residue would survive anyway)."""
+        residue would survive anyway), as ``range``s read back to back."""
         profile = self.profile
         base = self._private_base
         # Hot lines sit at ``64 * i`` for every 64th byte offset ``i`` of
         # the hot set, i.e. 4 KiB apart.
-        lines = list(range(base, base + 64 * profile.hot_set_bytes,
-                           64 * 64))
+        parts = [range(base, base + 64 * profile.hot_set_bytes, 64 * 64)]
         cap = 40000
         step = max(1, self._pool_lines // cap)
-        lines.extend(range(base, base + self._pool_lines * self._pool_stride,
+        parts.append(range(base, base + self._pool_lines * self._pool_stride,
                            step * self._pool_stride))
         if profile.is_parallel and profile.sharing_frac > 0:
             shared_span = max(64, profile.working_set_bytes // 8)
             shared_step = max(64, shared_span // 8192)
-            lines.extend(range(SHARED_REGION_BASE,
+            parts.append(range(SHARED_REGION_BASE,
                                SHARED_REGION_BASE + shared_span, shared_step))
-        return lines
+        return tuple(parts)
 
-    def _resident_code(self) -> List[int]:
+    def _resident_code(self) -> Tuple[range, ...]:
         """Checkpoint-warm instruction lines covering the code footprint."""
-        return list(range(4096, 4096 + self.profile.code_bytes, 32))
+        return (range(4096, 4096 + self.profile.code_bytes, 32),)
 
 
 def generate_trace(profile: AppProfile, num_uops: int, seed: int = 1234,

@@ -21,7 +21,7 @@ from repro.core.configs import (
     single_core_configs,
 )
 from repro.golden import TRACE_CASES, load_golden, trace_digest
-from repro.uarch import kernel
+from repro.uarch import kernel, native
 from repro.uarch.kernel import (
     kernel_enabled,
     run_trace_batch,
@@ -299,6 +299,30 @@ def test_manifest_kernel_section_roundtrip():
     )
     assert all(batch["used_kernel"]
                for batch in manifest["kernel"]["batches"])
+
+
+def test_manifest_reports_replay_path():
+    """Each kernel batch and the summary say which cache replay ran;
+    one reference batch marks the whole run degraded."""
+    from repro.engine.sweep import ExperimentEngine
+    from repro.obs import EngineTelemetry, build_manifest, validate_manifest
+
+    eng = ExperimentEngine(jobs=1, cache_dir=None)
+    eng.single_core_runs(600, profiles=spec_profiles()[1:2])
+    manifest = build_manifest("test", engine=eng)
+    assert validate_manifest(manifest) == []
+    path = "native" if native.replay_library() is not None else "reference"
+    assert manifest["kernel"]["summary"]["replay"] == path
+    assert {b["replay"] for b in manifest["kernel"]["batches"]} == {path}
+
+    telemetry = EngineTelemetry()
+    assert telemetry.kernel_summary()["replay"] == "none"
+    telemetry.record_kernel_batch("single", 1, 0.1, False)
+    assert telemetry.kernel_summary()["replay"] == "none"
+    telemetry.record_kernel_batch("single", 6, 0.1, True, replay="native")
+    assert telemetry.kernel_summary()["replay"] == "native"
+    telemetry.record_kernel_batch("multi", 4, 0.1, True, replay="reference")
+    assert telemetry.kernel_summary()["replay"] == "reference"
 
 
 def test_manifest_rejects_malformed_kernel_section():

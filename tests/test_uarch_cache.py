@@ -11,9 +11,11 @@ from repro.uarch.cache import (
     CacheHierarchy,
     CoherenceDirectory,
     SetAssociativeCache,
-    _distribute_tags,
     _newest_first_tags,
+    _resident_array,
+    _warm_slots,
 )
+from repro.uarch.isa import resident_parts
 
 
 class TestSetAssociative:
@@ -130,7 +132,7 @@ class TestCoherence:
 
 
 # ---------------------------------------------------------------------------
-# NumPy warm state == replaying the resident lines through the LRU
+# Flat NumPy warm state == replaying the resident lines through the LRU
 # ---------------------------------------------------------------------------
 
 #: (size, ways, line) of IL1, DL1, both L2 sizes and L3 (Table 9).
@@ -157,6 +159,12 @@ def resident_lines(draw):
     return [base + rng.randrange(distinct) * stride for _ in range(count)]
 
 
+def _flat_lists(tags, counts, ways):
+    """Per-set LRU lists (LRU-first) read out of a flat level state."""
+    rows = tags.reshape(len(counts), ways).tolist()
+    return [row[:count] for row, count in zip(rows, counts.tolist())]
+
+
 @settings(deadline=None, max_examples=25)
 @given(data=resident_lines(), code=resident_lines())
 def test_numpy_warm_state_matches_lru_replay(data, code):
@@ -166,6 +174,33 @@ def test_numpy_warm_state_matches_lru_replay(data, code):
             for lines in streams:
                 for address in lines:
                     reference.access(address)
-            warm = _distribute_tags(_newest_first_tags(streams, line),
-                                    reference.sets, ways)
-            assert warm == reference._lines
+            tags, counts = _warm_slots(
+                _newest_first_tags(
+                    [_resident_array(resident_parts(s)) for s in streams],
+                    line),
+                reference.sets, ways,
+            )
+            assert counts.tolist() == [len(s) for s in reference._lines]
+            assert _flat_lists(tags, counts, ways) == reference._lines
+
+
+def test_range_residents_warm_like_their_lists():
+    """A tuple of ranges (the generator's form) warms a hierarchy exactly
+    like the flat list of the same lines, and like the access path."""
+    data = (range(0, 1 << 20, 4096), range(1 << 34, (1 << 34) + 640000, 64))
+    code = (range(4096, 4096 + 48000, 32),)
+    flat = [[line for part in parts for line in part] for parts in (data, code)]
+    for config in (base_config(), m3d_het_config(num_cores=4)):
+        ranged = CacheHierarchy(config)
+        ranged.preload(data, code)
+        listed = CacheHierarchy(config)
+        listed.preload(*flat)
+        replayed = CacheHierarchy(config)
+        replayed.dl1.access(0)  # no longer pristine: the access path
+        replayed.dl1._lines = [[] for _ in replayed.dl1._lines]
+        replayed.preload(data, code)
+        for a, b, c in zip(
+                (ranged.il1, ranged.dl1, ranged.l2, ranged.l3),
+                (listed.il1, listed.dl1, listed.l2, listed.l3),
+                (replayed.il1, replayed.dl1, replayed.l2, replayed.l3)):
+            assert a._lines == b._lines == c._lines
