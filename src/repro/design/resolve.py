@@ -117,8 +117,9 @@ def _frequency_signature(point: DesignPoint, use_paper_values: bool) -> tuple:
     The point's name is deliberately absent: the derivation's ``design``
     label is cosmetic, and keying the memo on it would defeat sharing
     across generated points (a ``repro explore`` space stamps thousands
-    of identical-physics points with unique names; each ``plan_core``
-    pass costs ~0.5 s).  :func:`derive_frequency` relabels the cached
+    of identical-physics points with unique names; an asymmetric
+    ``plan_core`` pass costs ~60 ms once the 2D organisations are solved,
+    a symmetric one ~4 ms).  :func:`derive_frequency` relabels the cached
     derivation when the names differ.
     """
     return (

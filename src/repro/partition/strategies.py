@@ -222,6 +222,7 @@ def _combine_layers(
         area=area,
         ndwl=bottom.ndwl,
         ndbl=bottom.ndbl,
+        nspd=bottom.nspd,
         detail=bottom.detail,
     )
     return PartitionResult(

@@ -20,8 +20,9 @@ organisations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.sram.bitcell import Bitcell
 from repro.tech import constants
@@ -395,15 +396,9 @@ def _route_energy(width: float, height: float, bits: float, vdd: float,
     return bits * wire.capacitance(length) * vdd**2 * 0.5
 
 
+@functools.lru_cache(maxsize=256)
 def solve_2d(
-    geometry: ArrayGeometry,
-    *,
-    cell: Optional[Bitcell] = None,
-    vdd: float = constants.VDD_NOMINAL_22NM,
-    degrees: Iterable[int] = DIVISION_DEGREES,
-    words: Optional[int] = None,
-    bits: Optional[float] = None,
-    **plane_kwargs,
+    geometry: ArrayGeometry, *, vdd: float = constants.VDD_NOMINAL_22NM
 ) -> ArrayMetrics:
     """Find the delay-optimal 2D organisation of one bank of a structure.
 
@@ -412,13 +407,16 @@ def solve_2d(
     Multi-ported core structures almost always settle at 1x1 or 1x2; large
     caches fold into many subarrays — which is why 3D partitioning helps the
     small wire-dominated structures relatively more (Section 3.2.1).
+
+    Cached: the search reads nothing but the frozen ``geometry`` and
+    ``vdd``, and every partition strategy re-solves the same 2D baseline.
     """
-    the_cell = cell if cell is not None else geometry.cell()
-    n_words = geometry.words if words is None else words
-    n_bits = float(geometry.bits) if bits is None else float(bits)
+    cell = geometry.cell()
+    n_words = geometry.words
+    n_bits = float(geometry.bits)
     best: Optional[ArrayMetrics] = None
-    for ndwl in degrees:
-        for ndbl in degrees:
+    for ndwl in DIVISION_DEGREES:
+        for ndbl in DIVISION_DEGREES:
             for nspd in SPD_DEGREES:
                 eff_words = n_words // nspd
                 if eff_words % ndbl and ndbl > 1:
@@ -432,19 +430,11 @@ def solve_2d(
                 ):
                     continue
                 # Keep subarrays within a sane aspect ratio, as CACTI does.
-                aspect = (rows * the_cell.height) / (cols * the_cell.width)
+                aspect = (rows * cell.height) / (cols * cell.width)
                 if not 1.0 / 8.0 <= aspect <= 8.0:
                     continue
                 metrics = _organized_metrics(
-                    geometry,
-                    the_cell,
-                    rows,
-                    cols,
-                    ndwl,
-                    ndbl,
-                    vdd,
-                    nspd=nspd,
-                    **plane_kwargs,
+                    geometry, cell, rows, cols, ndwl, ndbl, vdd, nspd=nspd
                 )
                 if best is None or (metrics.access_time, metrics.read_energy) < (
                     best.access_time,
@@ -454,9 +444,7 @@ def solve_2d(
     if best is None:
         # Degenerate geometries (very small planes) may fail every aspect
         # filter; fall back to the unfolded organisation.
-        best = _organized_metrics(
-            geometry, the_cell, n_words, n_bits, 1, 1, vdd, **plane_kwargs
-        )
+        best = _organized_metrics(geometry, cell, n_words, n_bits, 1, 1, vdd)
     return best
 
 
@@ -572,5 +560,6 @@ def banked_metrics(geometry: ArrayGeometry, bank: ArrayMetrics) -> ArrayMetrics:
         area=bank.area * geometry.banks,
         ndwl=bank.ndwl,
         ndbl=bank.ndbl,
+        nspd=bank.nspd,
         detail=bank.detail,
     )

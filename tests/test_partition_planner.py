@@ -1,6 +1,8 @@
 """Tests for the per-structure partition planner (Tables 6 and 8)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.structures import core_structures, structures_by_name
 from repro.partition.planner import (
@@ -10,6 +12,7 @@ from repro.partition.planner import (
     plan_core,
     plan_structure,
 )
+from repro.sram.array import solve_2d
 from repro.tech.process import stack_m3d_hetero, stack_m3d_iso, stack_tsv3d
 
 
@@ -137,3 +140,27 @@ class TestPlannerMechanics:
             structures_by_name()["RF"], stack_m3d_iso()
         )
         assert set(strategies) == {"BP", "WP", "PP"}
+
+
+class TestOrganisationSearchMemo:
+    def test_one_search_per_structure_across_plans(self):
+        # Every strategy, split and stack reuses the structure's 2D
+        # organisation: 12 structures cost 12 searches, however many
+        # plans are made.
+        solve_2d.cache_clear()
+        structures = core_structures()
+        plan_core(structures, stack_m3d_iso())
+        plan_core(structures, stack_tsv3d())
+        for slowdown in (0.17, 0.4):
+            plan_core(structures, stack_m3d_hetero(slowdown), asymmetric=True)
+        assert solve_2d.cache_info().misses == 12
+
+    @settings(deadline=None, max_examples=10)
+    @given(slowdown=st.floats(min_value=0.05, max_value=0.6, exclude_max=True))
+    def test_warm_plan_equals_cold_plan(self, slowdown):
+        stack = stack_m3d_hetero(slowdown)
+        plan_core(core_structures(), stack)  # fills the cache
+        warm = plan_core(core_structures(), stack, asymmetric=True)
+        solve_2d.cache_clear()
+        cold = plan_core(core_structures(), stack, asymmetric=True)
+        assert warm == cold

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.structures import (
     branch_prediction_table,
+    core_structures,
     issue_queue,
     register_file,
     store_queue,
@@ -18,6 +19,7 @@ from repro.partition.strategies import (
     reduction_report,
     word_partition,
 )
+from repro.sram.array import solve_2d
 from repro.tech.process import (
     stack_2d,
     stack_m3d_hetero,
@@ -204,3 +206,20 @@ class TestCamStructures:
         report = reduction_report(base, port_partition(geometry, iso))
         assert 15.0 < report.latency_pct < 40.0
         assert 40.0 < report.footprint_pct < 70.0
+
+
+class TestOrganisationCarriedThrough:
+    @pytest.mark.parametrize("geometry", core_structures(), ids=lambda g: g.name)
+    def test_partitions_report_the_2d_organisation(self, iso, geometry):
+        # 3D partitioning splits the 2D layout; it keeps (Ndwl, Ndbl, Nspd).
+        org = solve_2d(geometry)
+        results = [bit_partition(geometry, iso), word_partition(geometry, iso)]
+        if geometry.ports >= 2:
+            results.append(port_partition(geometry, iso))
+        for result in results:
+            metrics = result.metrics
+            assert (metrics.ndwl, metrics.ndbl, metrics.nspd) == (
+                org.ndwl,
+                org.ndbl,
+                org.nspd,
+            ), result.strategy
